@@ -10,6 +10,7 @@ from .geometry import (
     PolarCoord,
     condition_from_index,
     condition_of,
+    conditions_of,
     polar_from_xy,
     wrap_angle,
     xy_from_polar,
@@ -38,7 +39,7 @@ from .inject import (
 from .dataset import Frame, PerceptionDataset, Scene, load_dataset, save_dataset
 from .matching import MatchResult, match_frame
 from .stats import FieldEstimates, PartitionStats, accumulate_stats, estimate_mle
-from .car import CarConvergenceError, CarSpec, FieldObservation, build_adjacency, fit_car
+from .car import CarConvergenceError, CarSpec, FieldObservation, build_adjacency, fit_car, sparse_adjacency
 from .learn import EmptyDatasetError, LearnDiagnostics, learn_pem
 from .synthetic import SyntheticDatasetConfig, synthesize_dataset
 from .server import PemServer, serve_in_thread
@@ -77,6 +78,7 @@ __all__ = [
     "build_adjacency",
     "condition_from_index",
     "condition_of",
+    "conditions_of",
     "estimate_mle",
     "fit_car",
     "learn_pem",
@@ -92,6 +94,7 @@ __all__ = [
     "save_model",
     "serve_in_thread",
     "session_rng",
+    "sparse_adjacency",
     "stationary_detection",
     "step_detection",
     "synthesize_dataset",

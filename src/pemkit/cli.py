@@ -14,6 +14,7 @@ import hashlib
 import json
 import signal
 import sys
+import threading
 from pathlib import Path
 
 from . import __version__
@@ -191,13 +192,16 @@ def cmd_serve(args) -> int:
         registry[name] = load_model(path)
     server = PemServer(registry, host=args.host, port=args.port)
     host, port = server.address
-    print(f"serving {sorted(registry)} on {host}:{port}", flush=True)
 
     def _stop(signum, frame):
-        server.shutdown()
+        # The handler runs on the thread inside serve_forever, and shutdown()
+        # waits for serve_forever to return; calling it here would deadlock.
+        threading.Thread(target=server.shutdown, daemon=True).start()
 
+    # Installed before the banner, so a caller that has read it may signal.
     signal.signal(signal.SIGINT, _stop)
     signal.signal(signal.SIGTERM, _stop)
+    print(f"serving {sorted(registry)} on {host}:{port}", flush=True)
     try:
         server.serve_forever()
     finally:

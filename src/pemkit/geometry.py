@@ -11,6 +11,9 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 
+import numpy as np
+from numpy.typing import ArrayLike
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -161,3 +164,17 @@ def condition_of(position: PolarCoord, occlusion: OcclusionLevel, grid: GridSpec
     sector = sector_of(position.theta, grid)
     occ = int(occlusion)
     return Condition(condition_index(occ, ring, sector, grid), occ, ring, sector)
+
+
+def conditions_of(r: ArrayLike, theta: ArrayLike, occ: ArrayLike, grid: GridSpec) -> np.ndarray:
+    """Vectorised ``condition_of``: condition indices, -1 where r >= max_radius.
+
+    Uses the same float ``//`` and ``%`` as the scalar lookup, so both agree
+    element by element, bin edges included.
+    """
+    r = np.asarray(r, dtype=float)
+    inside = r < grid.max_radius_m
+    ring = np.minimum(np.where(inside, r, 0.0) // grid.ring_depth_m, grid.n_rings - 1).astype(np.int64)
+    sector = np.minimum((np.asarray(theta, dtype=float) % TWO_PI) // grid.sector_width_rad, grid.n_sectors - 1)
+    index = (np.asarray(occ, dtype=np.int64) * grid.n_rings + ring) * grid.n_sectors + sector.astype(np.int64)
+    return np.where(inside, index, -1)

@@ -30,12 +30,29 @@ class EmptyDatasetError(ValueError):
 
 @dataclass(slots=True)
 class LearnDiagnostics:
+    """Per-field fit outcomes and data coverage; deterministic, never wall-clock.
+
+    ``matched``, ``unmatched_gt`` and ``unmatched_det`` total the frame
+    matching outcomes (the model has no clutter term, so unmatched detections
+    are discarded); ``empty_cells`` counts each field's conditions without data.
+    """
+
     fits: dict[str, CarFit]
     transition_counts: np.ndarray
     sample_counts: np.ndarray
+    matched: int
+    unmatched_gt: int
+    unmatched_det: int
+    empty_cells: dict[str, int]
 
     def to_dict(self) -> dict:
         return {
+            "coverage": {
+                "matched": self.matched,
+                "unmatched_gt": self.unmatched_gt,
+                "unmatched_det": self.unmatched_det,
+                "empty_cells": self.empty_cells,
+            },
             "fields": {
                 name: {
                     "converged": fit.converged,
@@ -107,5 +124,9 @@ def learn_from_stats(
         fits=fits,
         transition_counts=stats.transitions.reshape(stats.grid.n_conditions, 4).sum(axis=1),
         sample_counts=stats.sample_counts(),
+        matched=stats.matched,
+        unmatched_gt=stats.unmatched_gt,
+        unmatched_det=stats.unmatched_det,
+        empty_cells={name: int(estimates.empty[f].sum()) for f, name in enumerate(FIELD_NAMES)},
     )
     return model, diagnostics

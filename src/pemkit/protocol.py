@@ -8,6 +8,7 @@ canonical (sorted keys, no whitespace) so a given reply is byte-stable.
 from __future__ import annotations
 
 import json
+import math
 
 from .geometry import N_OCCLUSION_LEVELS
 
@@ -53,8 +54,20 @@ def frame_msg(t: int, objects: list[dict]) -> dict:
     return {"type": "frame", "t": t, "objects": objects}
 
 
+def _reject_constant(name: str):
+    raise ProtocolError(ERR_MALFORMED, f"non-finite number {name} is not allowed")
+
+
+# One decoder for every line: json.loads with keyword arguments would build a
+# new decoder per call. NaN and +/-Infinity are not JSON numbers; reject them.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """An int (not bool) or a finite float; literals such as 1e999 overflow to inf."""
+    if isinstance(v, float):
+        return math.isfinite(v)
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _is_int(v) -> bool:
@@ -73,7 +86,7 @@ def parse_request(line: bytes | str) -> dict:
         except UnicodeDecodeError:
             raise ProtocolError(ERR_MALFORMED, "line is not valid UTF-8")
     try:
-        msg = json.loads(line)
+        msg = _DECODER.decode(line)
     except json.JSONDecodeError:
         raise ProtocolError(ERR_MALFORMED, "line is not valid JSON")
     if not isinstance(msg, dict) or "type" not in msg:

@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import PerceptionDataset
-from .geometry import GridSpec, condition_of, wrap_angle
+from .geometry import GridSpec, conditions_of, wrap_angle
+from .geometry import condition_of  # noqa: F401  (kept importable here: perfbench traces stats.condition_of)
 from .inject import DuplicateIdError
 from .matching import DEFAULT_GATE_M, match_frame
 
@@ -25,12 +26,17 @@ class PartitionStats:
 
     ``transitions[c, k, l]`` counts observed detection-state moves k -> l for
     objects sitting in condition c at the destination frame. ``samples[c]``
-    collects (eps_r, eps_theta) pairs from matched frames.
+    collects (eps_r, eps_theta) pairs from matched frames. ``matched``,
+    ``unmatched_gt`` and ``unmatched_det`` total the frame matching outcomes,
+    over every frame and whether or not an object lies inside the grid.
     """
 
     grid: GridSpec
     transitions: np.ndarray
     samples: list[list[tuple[float, float]]]
+    matched: int = 0
+    unmatched_gt: int = 0
+    unmatched_det: int = 0
 
     @classmethod
     def empty(cls, grid: GridSpec) -> "PartitionStats":
@@ -43,6 +49,9 @@ class PartitionStats:
         merged = PartitionStats.empty(self.grid)
         merged.transitions = self.transitions + other.transitions
         merged.samples = [a + b for a, b in zip(self.samples, other.samples)]
+        merged.matched = self.matched + other.matched
+        merged.unmatched_gt = self.unmatched_gt + other.unmatched_gt
+        merged.unmatched_det = self.unmatched_det + other.unmatched_det
         return merged
 
     @property
@@ -80,19 +89,27 @@ def accumulate_stats(
                     raise DuplicateIdError(f"scene {scene.scene_id} frame {t}: duplicate gt id {obj.id}")
                 seen.add(obj.id)
             result = match_frame(frame.gt, frame.det, gate_m)
-            for obj in frame.gt:
+            stats.matched += len(result.assignments)
+            stats.unmatched_gt += len(result.unmatched_gt)
+            stats.unmatched_det += len(result.unmatched_det)
+            cells = conditions_of(
+                [obj.position.r for obj in frame.gt],
+                [obj.position.theta for obj in frame.gt],
+                [obj.occlusion for obj in frame.gt],
+                grid,
+            )
+            for obj, cell in zip(frame.gt, cells.tolist()):
                 det_idx = result.assignments.get(obj.id)
                 v = 1 if det_idx is not None else 0
-                cond = condition_of(obj.position, obj.occlusion, grid)
-                if cond is not None:
+                if cell >= 0:
                     prev = last.get(obj.id)
                     if prev is not None and prev[0] == t - 1:
-                        stats.transitions[cond.index, prev[1], v] += 1
+                        stats.transitions[cell, prev[1], v] += 1
                     if det_idx is not None and obj.position.r > 1e-9:
                         det = frame.det[det_idx]
                         eps_r = det.r / obj.position.r
                         eps_theta = wrap_angle(det.theta - obj.position.theta)
-                        stats.samples[cond.index].append((eps_r, eps_theta))
+                        stats.samples[cell].append((eps_r, eps_theta))
                 last[obj.id] = (t, v)
     return stats
 

@@ -1,4 +1,5 @@
 import json
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -81,6 +82,11 @@ def test_learn_is_byte_reproducible(dataset_path, tmp_path):
     first = snapshot(tmp_path)
     assert main(args) == EXIT_OK
     assert snapshot(tmp_path) == first
+    diag_path = out.with_suffix(".diagnostics.json")
+    assert diag_path.read_bytes() == first[diag_path.name]
+    coverage = json.loads(diag_path.read_text())["coverage"]
+    assert coverage["matched"] > 0
+    assert set(coverage["empty_cells"]) == {"a01", "a11", "mu_r", "mu_theta", "sigma_r", "sigma_theta", "rho"}
 
 
 def test_learn_empty_dataset_is_data_error(tmp_path, capsys):
@@ -199,6 +205,27 @@ def test_serve_subprocess_and_shutdown(tmp_path):
     finally:
         if proc.poll() is None:
             proc.kill()
+
+
+def test_serve_stops_on_sigterm(tmp_path):
+    model_path = tmp_path / "m.json"
+    save_model(perfect_model(), model_path)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pemkit.cli", "serve", "--model", f"m={model_path}", "--port", "0"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        assert "serving" in proc.stdout.readline()
+        proc.send_signal(signal.SIGTERM)
+        out, _err = proc.communicate(timeout=10)
+        assert proc.returncode == EXIT_OK
+        assert "server stopped" in out
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
 
 
 def test_serve_bind_conflict_is_io_error(tmp_path, capsys):

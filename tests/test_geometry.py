@@ -10,6 +10,7 @@ from pemkit import (
     PolarCoord,
     condition_from_index,
     condition_of,
+    conditions_of,
     polar_from_xy,
     wrap_angle,
     xy_from_polar,
@@ -111,3 +112,53 @@ def test_occlusion_binning():
     assert OcclusionLevel.from_fraction(0.6) == OcclusionLevel.VIS2
     assert OcclusionLevel.from_fraction(0.8) == OcclusionLevel.VIS3
     assert OcclusionLevel.from_fraction(1.0) == OcclusionLevel.VIS3
+
+
+_LOOKUP_GRIDS = [
+    GridSpec(),
+    GridSpec(sector_width_deg=15.0, ring_depth_m=10.0, max_radius_m=100.0),
+    GridSpec(sector_width_deg=45.0, ring_depth_m=20.0, max_radius_m=100.0),
+    GridSpec(sector_width_deg=5.0, ring_depth_m=1.0, max_radius_m=100.0),
+    GridSpec(sector_width_deg=360.0, ring_depth_m=7.0, max_radius_m=21.0),
+]
+
+
+def _edge_radii(g: GridSpec) -> list[float]:
+    rings = [k * g.ring_depth_m for k in range(g.n_rings + 1)]
+    return rings + [math.nextafter(g.max_radius_m, 0.0), g.max_radius_m, 2.0 * g.max_radius_m]
+
+
+def _edge_bearings(g: GridSpec) -> list[float]:
+    sectors = [wrap_angle(k * g.sector_width_rad) for k in range(g.n_sectors)]
+    return sectors + [math.pi, math.nextafter(-math.pi, 0.0), 0.0, -0.0, math.nextafter(0.0, -1.0)]
+
+
+def _scalar_indices(objs, g: GridSpec) -> list[int]:
+    out = []
+    for r, theta, occ in objs:
+        c = condition_of(PolarCoord(r, theta), OcclusionLevel(occ), g)
+        out.append(-1 if c is None else c.index)
+    return out
+
+
+def _vector_indices(objs, g: GridSpec) -> list[int]:
+    return conditions_of([o[0] for o in objs], [o[1] for o in objs], [o[2] for o in objs], g).tolist()
+
+
+@pytest.mark.parametrize("g", _LOOKUP_GRIDS)
+def test_conditions_of_matches_scalar_on_bin_edges(g):
+    objs = [(r, theta, occ) for r in _edge_radii(g) for theta in _edge_bearings(g) for occ in range(4)]
+    assert _vector_indices(objs, g) == _scalar_indices(objs, g)
+
+
+@given(st.data())
+def test_conditions_of_matches_scalar(data):
+    g = data.draw(st.sampled_from(_LOOKUP_GRIDS))
+    r = st.one_of(st.sampled_from(_edge_radii(g)), st.floats(0.0, 1.5 * g.max_radius_m))
+    theta = st.one_of(st.sampled_from(_edge_bearings(g)), st.floats(-math.pi, math.pi, exclude_min=True))
+    objs = data.draw(st.lists(st.tuples(r, theta, st.integers(0, 3)), max_size=48))
+    assert _vector_indices(objs, g) == _scalar_indices(objs, g)
+
+
+def test_conditions_of_empty_frame():
+    assert conditions_of([], [], [], GridSpec()).tolist() == []

@@ -224,3 +224,21 @@ def test_bind_failure_is_startup_error():
     finally:
         srv.shutdown()
         srv.close()
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        b'{"type":"frame","t":0,"objects":[{"id":1,"x":NaN,"y":10.0,"occ":3}]}\n',
+        b'{"type":"frame","t":0,"objects":[{"id":1,"x":-4.0,"y":Infinity,"occ":3}]}\n',
+        b'{"type":"frame","t":0,"objects":[{"id":1,"x":1e999,"y":10.0,"occ":3}]}\n',
+        b'{"type":"init","model":"m","seed":3,"rate_hz":NaN}\n',
+        b'{"type":"init","model":"m","seed":3,"rate_hz":-Infinity}\n',
+    ],
+)
+def test_non_finite_numbers_are_malformed_and_session_survives(server, line):
+    with client_for(server) as client:
+        client.init("m", 3)
+        doc = json.loads(client.exchange_raw(line))
+        assert doc["type"] == "error" and doc["code"] == "malformed"
+        assert isinstance(client.frame(0, OBJS), list)

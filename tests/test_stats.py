@@ -161,3 +161,17 @@ def test_mle_empty_condition_flags():
     assert est.empty[FIELD_NAMES.index("sigma_r"), 0]
     assert est.empty[FIELD_NAMES.index("rho"), 0]
     assert est.empty[:, 1].all()  # untouched condition fully empty
+
+
+def test_match_coverage_totals_and_merge():
+    # Frame 0: one match, one far-off clutter detection. Frame 1: gt beyond
+    # the grid and undetected still counts as unmatched ground truth.
+    frames = [
+        Frame(gt=[obj(oid=1, r=5.0)], det=[PolarCoord(5.0, 0.3), PolarCoord(15.0, -2.0)]),
+        Frame(gt=[obj(oid=1, r=5.0), obj(oid=2, r=50.0)], det=[PolarCoord(5.0, 0.3)]),
+    ]
+    ds = PerceptionDataset([Scene(0, frames)])
+    stats = accumulate_stats(ds, GRID)
+    assert (stats.matched, stats.unmatched_gt, stats.unmatched_det) == (2, 1, 1)
+    merged = stats.merge(accumulate_stats(PerceptionDataset([scene_from_detection_pattern([1, 0])]), GRID))
+    assert (merged.matched, merged.unmatched_gt, merged.unmatched_det) == (3, 2, 1)
