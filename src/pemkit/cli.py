@@ -21,7 +21,7 @@ from . import __version__
 from .car import CarConvergenceError, CarSpec
 from .dataset import DatasetFormatError, load_dataset
 from .geometry import GridSpec, N_OCCLUSION_LEVELS, sector_of
-from .learn import EmptyDatasetError, learn_pem
+from .learn import EmptyDatasetError, StageTimes, learn_pem
 from .model import ModelFormatError, PARAM_NAMES, load_model, save_model, stationary_detection
 from .protocol import DEFAULT_PORT
 from .server import PemServer
@@ -93,10 +93,12 @@ def cmd_learn(args) -> int:
     out_model = Path(args.out)
     out_dir = out_model.parent
     grid = _grid_from_args(args)
-    dataset = load_dataset(args.dataset, frame_rate_hz=args.frame_rate_hz)
+    timings = StageTimes()
+    with timings.stage("load"):
+        dataset = load_dataset(args.dataset, frame_rate_hz=args.frame_rate_hz)
     spec = CarSpec.for_grid(grid, alpha=args.alpha)
     model, diagnostics = learn_pem(
-        dataset, grid, car_spec=spec, gate_m=args.gate_m, metadata=args.label
+        dataset, grid, car_spec=spec, gate_m=args.gate_m, metadata=args.label, timings=timings
     )
     out_dir.mkdir(parents=True, exist_ok=True)
     save_model(model, out_model)
@@ -118,6 +120,7 @@ def cmd_learn(args) -> int:
         [Path(args.dataset)],
         seed=None,
     )
+    print(timings.line(), file=sys.stderr)
     print(f"wrote {out_model} ({model.n_conditions} conditions) and {diag_path}")
     return EXIT_OK
 

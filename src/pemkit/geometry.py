@@ -8,6 +8,7 @@ heading and wrapped to (-pi, pi]; distances are meters.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -51,6 +52,35 @@ def polar_from_xy(x: float, y: float) -> PolarCoord:
 def xy_from_polar(p: PolarCoord) -> tuple[float, float]:
     """Polar back to ego-relative Cartesian (x right, y forward)."""
     return -p.r * math.sin(p.theta), p.r * math.cos(p.theta)
+
+
+# The array conversions below evaluate the transcendental functions with
+# ``math`` rather than NumPy: np.hypot, np.arctan2 and the SIMD np.sin/np.cos
+# can differ from libm in the last bit, and every learned model depends on
+# these values. The remaining arithmetic is IEEE-exact in both.
+
+
+def wrap_angles(theta: ArrayLike) -> np.ndarray:
+    """Vectorised ``wrap_angle`` with the same ``fmod`` and comparisons."""
+    w = np.fmod(np.asarray(theta, dtype=float), TWO_PI)
+    return np.where(w > math.pi, w - TWO_PI, np.where(w <= -math.pi, w + TWO_PI, w))
+
+
+def polar_from_xy_arrays(x: Sequence[float], y: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorised ``polar_from_xy``: (r, theta) arrays, bit-identical element by element."""
+    n = len(x)
+    r = np.fromiter(map(math.hypot, x, y), dtype=float, count=n)
+    theta = wrap_angles(np.fromiter(map(math.atan2, y, x), dtype=float, count=n) - 0.5 * math.pi)
+    return r, theta
+
+
+def xy_from_polar_arrays(r: ArrayLike, theta: ArrayLike) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorised ``xy_from_polar``: (x, y) arrays, bit-identical element by element."""
+    angles = np.asarray(theta, dtype=float).tolist()
+    sin = np.fromiter(map(math.sin, angles), dtype=float, count=len(angles))
+    cos = np.fromiter(map(math.cos, angles), dtype=float, count=len(angles))
+    r = np.asarray(r, dtype=float)
+    return -r * sin, r * cos
 
 
 class OcclusionLevel(IntEnum):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +28,28 @@ _FIELD_KINDS = {
 
 class EmptyDatasetError(ValueError):
     """Every condition is empty: there is nothing to fit."""
+
+
+class StageTimes:
+    """Wall-clock seconds per learn stage, in run order.
+
+    For logs only: these values never enter the model, the diagnostics or the
+    manifest, which stay byte-reproducible.
+    """
+
+    def __init__(self):
+        self.seconds: dict[str, float] = {}
+
+    @contextmanager
+    def stage(self, name: str):
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.seconds[name] = self.seconds.get(name, 0.0) + time.perf_counter() - start
+
+    def line(self) -> str:
+        return "learn timings: " + ", ".join(f"{name} {s:.3f}s" for name, s in self.seconds.items())
 
 
 @dataclass(slots=True)
@@ -81,12 +105,16 @@ def field_observation(estimates: FieldEstimates, name: str) -> FieldObservation:
     )
 
 
-def fit_fields(estimates: FieldEstimates, spec: CarSpec) -> tuple[dict[str, np.ndarray], dict[str, CarFit]]:
+def fit_fields(
+    estimates: FieldEstimates, spec: CarSpec, timings: StageTimes | None = None
+) -> tuple[dict[str, np.ndarray], dict[str, CarFit]]:
     """Smooth each of the seven fields independently."""
+    timings = timings or StageTimes()
     values: dict[str, np.ndarray] = {}
     fits: dict[str, CarFit] = {}
     for name in FIELD_NAMES:
-        fit = fit_car(field_observation(estimates, name), spec, field_name=name)
+        with timings.stage(f"fit {name}"):
+            fit = fit_car(field_observation(estimates, name), spec, field_name=name)
         values[name] = fit.values
         fits[name] = fit
     return values, fits
@@ -98,27 +126,34 @@ def learn_pem(
     car_spec: CarSpec | None = None,
     gate_m: float = DEFAULT_GATE_M,
     metadata: str = "learned",
+    timings: StageTimes | None = None,
 ) -> tuple[PemModel, LearnDiagnostics]:
     """Build a model from a paired ground-truth / detection dataset.
 
     Raises EmptyDatasetError when the dataset contributes no transitions and
     no error samples at all; propagates CarConvergenceError from the smoother.
+    ``timings``, when given, receives the wall time of each stage.
     """
     grid = grid or GridSpec()
-    stats = accumulate_stats(dataset, grid, gate_m)
-    return learn_from_stats(stats, car_spec, metadata)
+    timings = timings or StageTimes()
+    with timings.stage("match+count"):
+        stats = accumulate_stats(dataset, grid, gate_m)
+    return learn_from_stats(stats, car_spec, metadata, timings)
 
 
 def learn_from_stats(
     stats: PartitionStats,
     car_spec: CarSpec | None = None,
     metadata: str = "learned",
+    timings: StageTimes | None = None,
 ) -> tuple[PemModel, LearnDiagnostics]:
     if stats.total_transitions == 0 and stats.total_samples == 0:
         raise EmptyDatasetError("no observations")
+    timings = timings or StageTimes()
     spec = car_spec or CarSpec.for_grid(stats.grid)
-    estimates = estimate_mle(stats)
-    values, fits = fit_fields(estimates, spec)
+    with timings.stage("estimate"):
+        estimates = estimate_mle(stats)
+    values, fits = fit_fields(estimates, spec, timings)
     model = PemModel(grid=stats.grid, metadata=metadata, **values)
     diagnostics = LearnDiagnostics(
         fits=fits,

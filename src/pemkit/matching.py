@@ -52,27 +52,71 @@ def match_frame(
     """
     order = sorted(range(len(gt)), key=lambda k: gt[k].id)
     gt_ids = [gt[k].id for k in order]
-    gp = _cartesian([gt[k].position for k in order])
-    dp = _cartesian(detections)
     n, m = len(gt_ids), len(detections)
     if n == 0 or m == 0:
         return MatchResult({}, list(gt_ids), list(range(m)), 0.0)
 
-    diff = gp[:, None, :] - dp[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
+    rows, cols, costs = match_points(_cartesian([gt[k].position for k in order]), _cartesian(detections), gate_m)
+    rows, cols = rows.tolist(), cols.tolist()
+    assignments = {gt_ids[r]: c for r, c in zip(rows, cols)}
+    matched_rows, matched_cols = set(rows), set(cols)
+    unmatched_gt = [gt_ids[r] for r in range(n) if r not in matched_rows]
+    unmatched_det = [c for c in range(m) if c not in matched_cols]
+    return MatchResult(assignments, unmatched_gt, unmatched_det, float(sum(costs.tolist())))
+
+
+def match_points(
+    gt_xy: np.ndarray, det_xy: np.ndarray, gate_m: float = DEFAULT_GATE_M
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The array kernel of ``match_frame``: canonical gated assignment of x/y points.
+
+    ``gt_xy`` (n, 2) must already be in preference order (ascending gt id) and
+    both arrays non-empty. Returns (rows, cols, costs): matched gt rows in
+    ascending order, their detection indices, and the pair distances.
+    """
+    # Two squares added directly: the same a0 + a1 as a sum over a length-2 axis.
+    ex = gt_xy[:, 0, None] - det_xy[None, :, 0]
+    ey = gt_xy[:, 1, None] - det_xy[None, :, 1]
+    dist = np.sqrt(ex * ex + ey * ey)
     feasible = dist <= gate_m
     cost = np.where(feasible, dist, _INFEASIBLE)
 
     rows, cols = linear_sum_assignment(cost)
-    match = {int(r): int(c) for r, c in zip(rows, cols) if feasible[r, c]}
-    match = _canonicalize_ties(match, dist, feasible, n, m)
+    keep = feasible[rows, cols]
+    rows, cols = rows[keep], cols[keep]
+    if _tie_move_possible(rows, cols, dist):
+        n, m = dist.shape
+        match = _canonicalize_ties(dict(zip(rows.tolist(), cols.tolist())), dist, feasible, n, m)
+        rows = np.array(sorted(match), dtype=np.intp)
+        cols = np.array([match[r] for r in rows.tolist()], dtype=np.intp)
+    return rows, cols, dist[rows, cols]
 
-    assignments = {gt_ids[r]: c for r, c in match.items()}
-    unmatched_gt = [gt_ids[r] for r in range(n) if r not in match]
-    matched_cols = set(match.values())
-    unmatched_det = [c for c in range(m) if c not in matched_cols]
-    total = float(sum(dist[r, match[r]] for r in sorted(match)))
-    return MatchResult(assignments, unmatched_gt, sorted(unmatched_det), total)
+
+def _tie_move_possible(rows: np.ndarray, cols: np.ndarray, dist: np.ndarray) -> bool:
+    """False when no move of ``_canonicalize_ties`` can apply to the assignment.
+
+    Tests a necessary condition of each of the loop's three moves on the
+    whole assignment at once, so that the loop, which would return the
+    assignment unchanged, runs only when a move may apply. The conditions are
+    exact ties: some other entry at the distance of its row's or its
+    column's match (a tie with a matched distance is within the gate), or a
+    pair whose swapped total equals its kept total. The k matched entries
+    always tie with themselves, hence the counts above k.
+    """
+    k = rows.size
+    if k == 0:
+        return False
+    n, m = dist.shape
+    d = dist[rows, cols]
+    d_row = np.full(n, np.nan)
+    d_row[rows] = d
+    d_col = np.full(m, np.nan)
+    d_col[cols] = d
+    if np.count_nonzero((dist == d_row[:, None]) | (dist == d_col[None, :])) > k:
+        return True
+    # sub[i, j] + sub[j, i] is dist[r_i, c_j] + dist[r_j, c_i], summed in the loop's order for i < j.
+    sub = dist[rows[:, None], cols]
+    return np.count_nonzero(sub + sub.T == d[:, None] + d[None, :]) > k
 
 
 def _canonicalize_ties(match: dict[int, int], dist, feasible, n: int, m: int) -> dict[int, int]:

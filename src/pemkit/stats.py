@@ -7,10 +7,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import PerceptionDataset
-from .geometry import GridSpec, conditions_of, wrap_angle
+from .geometry import GridSpec, conditions_of, wrap_angles, xy_from_polar_arrays
 from .geometry import condition_of  # noqa: F401  (kept importable here: perfbench traces stats.condition_of)
 from .inject import DuplicateIdError
-from .matching import DEFAULT_GATE_M, match_frame
+from .matching import DEFAULT_GATE_M, match_points
+from .matching import match_frame  # noqa: F401  (kept importable here: perfbench traces stats.match_frame)
 
 FIELD_NAMES = ("a01", "a11", "mu_r", "mu_theta", "sigma_r", "sigma_theta", "rho")
 
@@ -20,39 +21,79 @@ _RHO_CLAMP = 0.999
 _SIGMA_FLOOR = 1e-12
 
 
+class CellSamples:
+    """Per-condition view of a ``PartitionStats``' error samples.
+
+    ``samples[c]`` is condition c's list of (eps_r, eps_theta) pairs in
+    insertion order; assigning ``samples[c] = pairs`` replaces them.
+    """
+
+    __slots__ = ("_stats",)
+
+    def __init__(self, stats: "PartitionStats"):
+        self._stats = stats
+
+    def __len__(self) -> int:
+        return self._stats.grid.n_conditions
+
+    def __getitem__(self, c: int) -> list[tuple[float, float]]:
+        st = self._stats
+        mine = st.sample_cell == range(len(self))[c]
+        return list(zip(st.eps_r[mine].tolist(), st.eps_theta[mine].tolist()))
+
+    def __setitem__(self, c: int, pairs) -> None:
+        st = self._stats
+        c = range(len(self))[c]
+        new = np.asarray(list(pairs), dtype=float).reshape(-1, 2)
+        keep = st.sample_cell != c
+        st.sample_cell = np.concatenate([st.sample_cell[keep], np.full(len(new), c, dtype=np.int64)])
+        st.eps_r = np.concatenate([st.eps_r[keep], new[:, 0]])
+        st.eps_theta = np.concatenate([st.eps_theta[keep], new[:, 1]])
+
+
 @dataclass(slots=True)
 class PartitionStats:
     """Per-condition transition counts and positional error samples.
 
     ``transitions[c, k, l]`` counts observed detection-state moves k -> l for
-    objects sitting in condition c at the destination frame. ``samples[c]``
-    collects (eps_r, eps_theta) pairs from matched frames. ``matched``,
-    ``unmatched_gt`` and ``unmatched_det`` total the frame matching outcomes,
-    over every frame and whether or not an object lies inside the grid.
+    objects sitting in condition c at the destination frame. Error samples
+    from matched frames are three parallel arrays in insertion order: the
+    condition ``sample_cell`` and the pair ``eps_r``, ``eps_theta``;
+    ``samples`` views them per condition. ``matched``, ``unmatched_gt`` and
+    ``unmatched_det`` total the frame matching outcomes, over every frame and
+    whether or not an object lies inside the grid.
     """
 
     grid: GridSpec
     transitions: np.ndarray
-    samples: list[list[tuple[float, float]]]
+    sample_cell: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    eps_r: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    eps_theta: np.ndarray = field(default_factory=lambda: np.zeros(0))
     matched: int = 0
     unmatched_gt: int = 0
     unmatched_det: int = 0
 
     @classmethod
     def empty(cls, grid: GridSpec) -> "PartitionStats":
-        n = grid.n_conditions
-        return cls(grid=grid, transitions=np.zeros((n, 2, 2), dtype=np.int64), samples=[[] for _ in range(n)])
+        return cls(grid=grid, transitions=np.zeros((grid.n_conditions, 2, 2), dtype=np.int64))
+
+    @property
+    def samples(self) -> CellSamples:
+        return CellSamples(self)
 
     def merge(self, other: "PartitionStats") -> "PartitionStats":
         if self.grid != other.grid:
             raise ValueError("cannot merge stats over different grids")
-        merged = PartitionStats.empty(self.grid)
-        merged.transitions = self.transitions + other.transitions
-        merged.samples = [a + b for a, b in zip(self.samples, other.samples)]
-        merged.matched = self.matched + other.matched
-        merged.unmatched_gt = self.unmatched_gt + other.unmatched_gt
-        merged.unmatched_det = self.unmatched_det + other.unmatched_det
-        return merged
+        return PartitionStats(
+            grid=self.grid,
+            transitions=self.transitions + other.transitions,
+            sample_cell=np.concatenate([self.sample_cell, other.sample_cell]),
+            eps_r=np.concatenate([self.eps_r, other.eps_r]),
+            eps_theta=np.concatenate([self.eps_theta, other.eps_theta]),
+            matched=self.matched + other.matched,
+            unmatched_gt=self.unmatched_gt + other.unmatched_gt,
+            unmatched_det=self.unmatched_det + other.unmatched_det,
+        )
 
     @property
     def total_transitions(self) -> int:
@@ -60,10 +101,42 @@ class PartitionStats:
 
     @property
     def total_samples(self) -> int:
-        return sum(len(s) for s in self.samples)
+        return len(self.sample_cell)
 
     def sample_counts(self) -> np.ndarray:
-        return np.array([len(s) for s in self.samples], dtype=np.int64)
+        return np.bincount(self.sample_cell, minlength=self.grid.n_conditions)
+
+
+def _check_unique_ids(dataset: PerceptionDataset, frame_of_gt: np.ndarray, by_id: np.ndarray) -> None:
+    """Raise DuplicateIdError for the first frame, in dataset order, that repeats a gt id."""
+    frame, ids = frame_of_gt[by_id], dataset.gt_id[by_id]
+    repeats = (frame[1:] == frame[:-1]) & (ids[1:] == ids[:-1])
+    if not repeats.any():
+        return
+    f = int(frame[1:][repeats].min())
+    s = int(np.searchsorted(dataset.scene_offsets, f, side="right")) - 1
+    seen: set[int] = set()
+    for oid in dataset.gt_id[dataset.gt_offsets[f] : dataset.gt_offsets[f + 1]].tolist():
+        if oid in seen:
+            scene_id = int(dataset.scene_ids[s])
+            raise DuplicateIdError(f"scene {scene_id} frame {f - int(dataset.scene_offsets[s])}: duplicate gt id {oid}")
+        seen.add(oid)
+
+
+def _match_frames(dataset: PerceptionDataset, by_id: np.ndarray, gate_m: float) -> np.ndarray:
+    """Each gt object's matched detection index into the dataset, or -1."""
+    gt_xy = np.column_stack(xy_from_polar_arrays(dataset.gt_r, dataset.gt_theta))[by_id]
+    det_xy = np.column_stack(xy_from_polar_arrays(dataset.det_r, dataset.det_theta))
+    det_of_sorted = np.full(len(by_id), -1, dtype=np.int64)
+    gt_off, det_off = dataset.gt_offsets.tolist(), dataset.det_offsets.tolist()
+    for f in range(dataset.n_frames):
+        a, b, c, d = gt_off[f], gt_off[f + 1], det_off[f], det_off[f + 1]
+        if a < b and c < d:
+            rows, cols, _ = match_points(gt_xy[a:b], det_xy[c:d], gate_m)
+            det_of_sorted[a + rows] = c + cols
+    det_of = np.empty_like(det_of_sorted)
+    det_of[by_id] = det_of_sorted
+    return det_of
 
 
 def accumulate_stats(
@@ -74,43 +147,41 @@ def accumulate_stats(
     """Match every frame and count transitions / collect error samples.
 
     The first appearance of an object (in a scene, or after a gap in its id's
-    presence) contributes no transition; frames where the object is outside
-    the grid contribute nothing. Scenes are independent and their statistics
-    merge additively.
+    presence or in the frame times ``t``) contributes no transition; frames
+    where the object is outside the grid contribute nothing. Scenes are
+    independent and their statistics merge additively.
     """
+    ds = dataset
+    frame_of_gt = np.repeat(np.arange(ds.n_frames), np.diff(ds.gt_offsets))
+    # Within each frame, ground truth in ascending id: the matcher's preference order.
+    by_id = np.lexsort((ds.gt_id, frame_of_gt))
+    _check_unique_ids(ds, frame_of_gt, by_id)
+    det_of = _match_frames(ds, by_id, gate_m)
+
     stats = PartitionStats.empty(grid)
-    for scene in dataset.scenes:
-        # id -> (frame index, observed v) from the previous frame
-        last: dict[int, tuple[int, int]] = {}
-        for t, frame in enumerate(scene.frames):
-            seen: set[int] = set()
-            for obj in frame.gt:
-                if obj.id in seen:
-                    raise DuplicateIdError(f"scene {scene.scene_id} frame {t}: duplicate gt id {obj.id}")
-                seen.add(obj.id)
-            result = match_frame(frame.gt, frame.det, gate_m)
-            stats.matched += len(result.assignments)
-            stats.unmatched_gt += len(result.unmatched_gt)
-            stats.unmatched_det += len(result.unmatched_det)
-            cells = conditions_of(
-                [obj.position.r for obj in frame.gt],
-                [obj.position.theta for obj in frame.gt],
-                [obj.occlusion for obj in frame.gt],
-                grid,
-            )
-            for obj, cell in zip(frame.gt, cells.tolist()):
-                det_idx = result.assignments.get(obj.id)
-                v = 1 if det_idx is not None else 0
-                if cell >= 0:
-                    prev = last.get(obj.id)
-                    if prev is not None and prev[0] == t - 1:
-                        stats.transitions[cell, prev[1], v] += 1
-                    if det_idx is not None and obj.position.r > 1e-9:
-                        det = frame.det[det_idx]
-                        eps_r = det.r / obj.position.r
-                        eps_theta = wrap_angle(det.theta - obj.position.theta)
-                        stats.samples[cell].append((eps_r, eps_theta))
-                last[obj.id] = (t, v)
+    v = det_of >= 0
+    stats.matched = int(v.sum())
+    stats.unmatched_gt = len(v) - stats.matched
+    stats.unmatched_det = len(ds.det_r) - stats.matched
+
+    # Each object's previous appearance: the entry before it in (scene, id, frame) order.
+    cell = conditions_of(ds.gt_r, ds.gt_theta, ds.gt_occ, grid)
+    scene_of_gt = np.repeat(np.arange(len(ds.scene_ids)), np.diff(ds.gt_offsets[ds.scene_offsets]))
+    track = np.lexsort((frame_of_gt, ds.gt_id, scene_of_gt))
+    t = ds.t[frame_of_gt[track]]
+    prev, cur = track[:-1], track[1:]
+    follows = (scene_of_gt[prev] == scene_of_gt[cur]) & (ds.gt_id[prev] == ds.gt_id[cur]) & (t[:-1] + 1 == t[1:])
+    prev, cur = prev[follows], cur[follows]
+    counted = cell[cur] >= 0
+    prev, cur = prev[counted], cur[counted]
+    keys = cell[cur] * 4 + v[prev] * 2 + v[cur]
+    stats.transitions += np.bincount(keys, minlength=4 * grid.n_conditions).reshape(-1, 2, 2)
+
+    sampled = np.flatnonzero(v & (cell >= 0) & (ds.gt_r > 1e-9))
+    det = det_of[sampled]
+    stats.sample_cell = cell[sampled]
+    stats.eps_r = ds.det_r[det] / ds.gt_r[sampled]
+    stats.eps_theta = wrap_angles(ds.det_theta[det] - ds.gt_theta[sampled])
     return stats
 
 
@@ -160,12 +231,15 @@ def estimate_mle(stats: PartitionStats) -> FieldEstimates:
 
     pooled_ss = {"mu_r": 0.0, "mu_theta": 0.0}
     pooled_df = 0
+    # Contiguous (k, 2) blocks per condition, insertion order kept within each.
+    by_cell = np.argsort(stats.sample_cell, kind="stable")
+    pairs = np.column_stack((stats.eps_r, stats.eps_theta))[by_cell]
+    bounds = np.searchsorted(stats.sample_cell[by_cell], np.arange(n + 1)).tolist()
     for c in range(n):
-        samples = stats.samples[c]
-        k = len(samples)
+        k = bounds[c + 1] - bounds[c]
         if k == 0:
             continue
-        arr = np.asarray(samples)
+        arr = pairs[bounds[c] : bounds[c + 1]]
         mean = arr.mean(axis=0)
         values[2, c], values[3, c] = mean
         weights[2, c] = weights[3, c] = k

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Frame, PerceptionDataset, Scene
+from .dataset import DatasetBuilder, PerceptionDataset
 from .geometry import (
     N_OCCLUSION_LEVELS,
     OcclusionLevel,
@@ -84,8 +84,9 @@ def synthesize_dataset(cfg: SyntheticDatasetConfig) -> PerceptionDataset:
     """Deterministic given the seed: simulate scenes and apply the true model."""
     rng = session_rng(cfg.seed, 0)
     dt = 1.0 / cfg.frame_rate_hz
-    scenes = []
+    builder = DatasetBuilder()
     for s in range(cfg.n_scenes):
+        builder.add_scene(s)
         objects = _place_objects(cfg, rng)
         if cfg.motion == "constant_velocity":
             headings = rng.uniform(0.0, 2.0 * np.pi, size=len(objects))
@@ -94,7 +95,6 @@ def synthesize_dataset(cfg: SyntheticDatasetConfig) -> PerceptionDataset:
             velocities = np.zeros((len(objects), 2))
         positions = np.array([xy_from_polar(o.position) for o in objects])
         tracks: TrackState = {}
-        frames = []
         for _t in range(cfg.frames_per_scene):
             world = [
                 GroundTruthObject(obj.id, polar_from_xy(x, y), obj.occlusion)
@@ -104,7 +104,6 @@ def synthesize_dataset(cfg: SyntheticDatasetConfig) -> PerceptionDataset:
             det = [p.position for p in perceived]
             if len(det) > 1:
                 det = [det[i] for i in rng.permutation(len(det))]
-            frames.append(Frame(gt=world, det=det))
+            builder.add_frame(world, det)
             positions = positions + velocities * dt
-        scenes.append(Scene(scene_id=s, frames=frames))
-    return PerceptionDataset(scenes=scenes, frame_rate_hz=cfg.frame_rate_hz)
+    return builder.build(cfg.frame_rate_hz)

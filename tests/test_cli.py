@@ -89,6 +89,25 @@ def test_learn_is_byte_reproducible(dataset_path, tmp_path):
     assert set(coverage["empty_cells"]) == {"a01", "a11", "mu_r", "mu_theta", "sigma_r", "sigma_theta", "rho"}
 
 
+def test_learn_prints_stage_timings_outside_reproducible_outputs(dataset_path, tmp_path, capsys):
+    out = tmp_path / "model.json"
+    args = [
+        "learn", "--dataset", str(dataset_path), "--out", str(out),
+        "--sector-deg", "90", "--ring-depth-m", "10", "--max-radius-m", "20",
+    ]
+    snapshots = []
+    for _ in range(2):
+        assert main(args) == EXIT_OK
+        lines = [line for line in capsys.readouterr().err.splitlines() if line.startswith("learn timings: ")]
+        assert len(lines) == 1
+        stages = [part.rsplit(" ", 1)[0] for part in lines[0].removeprefix("learn timings: ").split(", ")]
+        fits = ["fit " + f for f in ("a01", "a11", "mu_r", "mu_theta", "sigma_r", "sigma_theta", "rho")]
+        assert stages == ["load", "match+count", "estimate", *fits]
+        snapshots.append(snapshot(tmp_path))
+    assert snapshots[0] == snapshots[1]
+    assert not any(b"timings" in content for content in snapshots[0].values())
+
+
 def test_learn_empty_dataset_is_data_error(tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
