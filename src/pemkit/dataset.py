@@ -8,14 +8,14 @@ with positions in ego-relative Cartesian meters (x right, y forward); the
 loader converts to polar. Rows are validated as they are read, and a bad row
 is a ``DatasetFormatError`` naming its line:
 
-- ``scene``, ``id`` and ``occ`` go through ``int()`` and coordinates through
-  ``float()``; integers must fit in 64 bits and ``occ`` must be an
-  ``OcclusionLevel``.
+- ``scene``, ``t``, ``id`` and ``occ`` must be JSON integers (``3.7``, ``"5"``
+  and ``true`` are rejected, not truncated) that fit in 64 bits, and ``occ``
+  an ``OcclusionLevel``; coordinates go through ``float()``.
 - Coordinates must be finite: ``NaN``, ``Infinity`` and overflowing literals
   such as ``1e999`` are rejected.
-- ``t`` must be an integer that strictly increases within a scene. Rows of
-  different scenes may interleave. A gap in ``t`` breaks every track: no
-  detection-state transition is counted across it.
+- ``t`` must strictly increase within a scene. Rows of different scenes may
+  interleave. A gap in ``t`` breaks every track: no detection-state
+  transition is counted across it.
 
 In memory a dataset is columnar: flat NumPy arrays for the whole dataset,
 never one Python object per position.
@@ -213,10 +213,13 @@ def save_dataset(dataset: PerceptionDataset, path: str | Path) -> None:
                 fh.write(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def _check_values(t, ints: list[int], occ: list[int], coords: tuple[list[float], ...]) -> None:
-    """Per-row value rules: integer t, 64-bit integers, valid levels, finite coordinates."""
-    if type(t) is not int:
-        raise ValueError(f"t must be an integer, got {t!r}")
+def _check_values(scene_id, t, ids: list, occ: list, coords: tuple[list[float], ...]) -> None:
+    """Per-row value rules: exact ``int`` fields (not bool), 64-bit integers, valid levels, finite coordinates."""
+    for name, values in (("scene", (scene_id,)), ("t", (t,)), ("id", ids), ("occ", occ)):
+        if not {int}.issuperset(map(type, values)):
+            bad = next(v for v in values if type(v) is not int)
+            raise ValueError(f"{name} must be an integer, got {bad!r}")
+    ints = [scene_id, t, *ids]
     if min(ints) < _INT64_MIN or max(ints) > _INT64_MAX:
         bad = next(v for v in ints if not _INT64_MIN <= v <= _INT64_MAX)
         raise ValueError(f"integer {bad} does not fit in 64 bits")
@@ -261,17 +264,17 @@ def load_dataset(path: str | Path, frame_rate_hz: float = 2.0) -> PerceptionData
             except json.JSONDecodeError as exc:
                 raise DatasetFormatError(f"line {lineno}: not valid JSON: {exc}") from exc
             try:
-                scene_id = int(row["scene"])
+                scene_id = row["scene"]
                 t = row["t"]
                 gt = row["gt"]
                 det = row["det"]
-                ids = [int(entry["id"]) for entry in gt]
+                ids = [entry["id"] for entry in gt]
                 gx = [float(entry["x"]) for entry in gt]
                 gy = [float(entry["y"]) for entry in gt]
-                occ = [int(entry["occ"]) for entry in gt]
+                occ = [entry["occ"] for entry in gt]
                 dx = [float(entry["x"]) for entry in det]
                 dy = [float(entry["y"]) for entry in det]
-                _check_values(t, [scene_id, t, *ids], occ, (gx, gy, dx, dy))
+                _check_values(scene_id, t, ids, occ, (gx, gy, dx, dy))
                 prev = last_t.get(scene_id)
                 if prev is not None and t <= prev:
                     raise ValueError(f"t {t} does not increase on t {prev} of scene {scene_id}")

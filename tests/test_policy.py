@@ -2,7 +2,6 @@ import math
 
 import pytest
 
-from pemkit import PerceivedObject, polar_from_xy
 from pemkit.sim import ActorState, PolicyConfig, driving_policy
 from pemkit.sim.policy import OBSTACLE_INFLATION_M
 
@@ -14,7 +13,7 @@ def ego(speed=10.0):
 
 
 def perceived_at(x, y, sid=1):
-    return PerceivedObject(sid, polar_from_xy(x, y))
+    return (sid, x, y)
 
 
 def gap_to_offset(gap, e=None):

@@ -19,6 +19,9 @@ from pemkit import (
     xy_from_polar,
 )
 from pemkit import protocol
+from pemkit.inject import InjectorSession
+from pemkit.server import MAX_LINE_BYTES, Session
+from pemkit.sim import ModelSource
 
 
 def stochastic_model():
@@ -242,3 +245,80 @@ def test_non_finite_numbers_are_malformed_and_session_survives(server, line):
         doc = json.loads(client.exchange_raw(line))
         assert doc["type"] == "error" and doc["code"] == "malformed"
         assert isinstance(client.frame(0, OBJS), list)
+
+
+def test_duplicate_id_reply_names_first_repeated_id(server):
+    objs = [{"id": i, "x": 1.0 + i, "y": 10.0, "occ": 3} for i in (1, 2, 2, 1)]
+    with client_for(server) as client:
+        client.init("m", 3)
+        reply = client.exchange_raw(protocol.encode(protocol.frame_msg(0, objs)))
+        assert reply == b'{"code":"duplicate_id","message":"duplicate object id 1","type":"error"}\n'
+        client.frame(1, OBJS)
+        reply = client.exchange_raw(protocol.encode(protocol.frame_msg(1, OBJS)))
+        assert reply == b'{"code":"time_regression","message":"frame t 1 not greater than 1","type":"error"}\n'
+
+
+def test_rejected_frames_leave_the_stream_untouched(server):
+    dup = [OBJS[0], OBJS[1], OBJS[0]]
+    with client_for(server) as client:
+        client.init("m", 21)
+        got = [client.frame(0, OBJS), client.frame(1, OBJS)]
+        for t, objs in ((2, dup), (1, OBJS), (0, dup)):
+            with pytest.raises(RemoteError):
+                client.frame(t, objs)
+        got += [client.frame(2, OBJS), client.frame(3, OBJS)]
+        client.reset()
+        with pytest.raises(RemoteError):
+            client.frame(0, dup)
+        got += [client.frame(0, OBJS), client.frame(1, OBJS)]
+    with client_for(server) as client:
+        client.init("m", 21)
+        expected = [client.frame(t, OBJS) for t in range(4)]
+        client.reset()
+        expected += [client.frame(t, OBJS) for t in range(2)]
+    assert got == expected
+
+
+def test_server_session_and_model_source_share_one_stream():
+    model = stochastic_model()
+    worlds = [[(o["id"], o["x"] + 0.3 * t, o["y"] - t, o["occ"]) for o in OBJS] for t in range(8)]
+    frame = lambda t: {"type": "frame", "t": t, "objects": [dict(zip(("id", "x", "y", "occ"), o)) for o in worlds[t]]}
+    as_tuples = lambda reply: [(o["source_id"], o["x"], o["y"]) for o in reply["objects"]]
+
+    session = Session({"m": model})
+    session.handle({"type": "init", "model": "m", "seed": 13, "rate_hz": 2.0})
+    wire = [as_tuples(session.handle(frame(t))) for t in range(8)]
+    assert session.handle({"type": "reset"}) == {"type": "ack", "of": "reset"}
+    wire_after_reset = [as_tuples(session.handle(frame(t))) for t in range(8)]
+
+    source = ModelSource(model)
+    runs = []
+    for _ in range(2):  # each run restarts the stream from (seed, 0)
+        source.begin_run(13)
+        runs.append([source.perceive(t, worlds[t]) for t in range(8)])
+    injector = InjectorSession(model, 13)
+    injector.reset()
+    local_after_reset = [injector.frame(t, worlds[t]) for t in range(8)]
+
+    assert runs[0] == runs[1] == wire
+    assert local_after_reset == wire_after_reset
+    assert wire != wire_after_reset
+
+
+@pytest.mark.parametrize("extra", [0, 1, 1 << 20])
+def test_request_line_cap(server, extra):
+    # A valid frame padded with whitespace to MAX_LINE_BYTES + extra bytes: only the cap can reject it.
+    frame0 = protocol.encode(protocol.frame_msg(0, OBJS))
+    padded = frame0[:-1] + b" " * (MAX_LINE_BYTES + extra - len(frame0)) + b"\n"
+    with client_for(server) as fresh:
+        fresh.init("m", 4)
+        expected = fresh.exchange_raw(frame0)
+    with client_for(server) as client:
+        client.init("m", 4)
+        reply = client.exchange_raw(padded)
+        if extra == 0:
+            assert reply == expected
+        else:
+            message = f"request line longer than {MAX_LINE_BYTES} bytes"
+            assert json.loads(reply) == {"type": "error", "code": "malformed", "message": message}
+            assert client.exchange_raw(frame0) == expected  # one reply; the session goes on unchanged

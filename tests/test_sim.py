@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -9,6 +11,7 @@ from pemkit import (
     TransitionMatrix,
     never_detect_model,
     perfect_model,
+    save_model,
     serve_in_thread,
 )
 from pemkit.sim import (
@@ -297,6 +300,55 @@ def test_local_and_remote_runs_identical(tmp_path):
     finally:
         server.shutdown()
         server.close()
+
+
+@pytest.mark.parametrize("make", [make_tc1, make_tc2, make_tc3])
+def test_run_experiment_min_distances_match_post_hoc_metric(make):
+    logs = []
+    report = run_experiment(make(), ModelSource(stochastic_model()), n_runs=4, base_seed=3,
+                            log_sink=lambda seed, log: logs.append(log))
+    assert report.cells[0].min_distances == [min_distance(log) for log in logs]
+
+
+def start_serve(model_path, port):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pemkit.cli", "serve", "--model", f"m={model_path}", "--port", str(port)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    line = proc.stdout.readline()
+    assert "serving" in line, proc.stderr.read()
+    return proc, int(line.rsplit(":", 1)[1])
+
+
+def stop_serve(proc):
+    proc.terminate()
+    proc.communicate(timeout=10)
+
+
+def test_remote_source_reconnects_after_server_restart(tmp_path):
+    model = stochastic_model()
+    model_path = tmp_path / "m.json"
+    save_model(model, model_path)
+    proc, port = start_serve(model_path, 0)
+    source = RemoteSource("127.0.0.1", port, "m", label="m")
+    try:
+        assert not run_once(make_tc1(), source, seed=1).aborted
+        stop_serve(proc)
+        assert run_once(make_tc1(), source, seed=2).aborted  # the connection is gone
+        proc, _ = start_serve(model_path, port)
+        remote = run_once(make_tc1(), source, seed=3)
+    finally:
+        source.close()
+        if proc.poll() is None:
+            stop_serve(proc)
+    local = run_once(make_tc1(), ModelSource(model, label="m"), seed=3)
+    assert not remote.aborted
+    pa, pb = tmp_path / "local.jsonl", tmp_path / "remote.jsonl"
+    save_runlog(local, pa)
+    save_runlog(remote, pb)
+    assert pa.read_bytes() == pb.read_bytes()
 
 
 def test_scenario_from_config_document(tmp_path):
