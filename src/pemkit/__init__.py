@@ -38,7 +38,7 @@ from .inject import (
 )
 from .dataset import Frame, PerceptionDataset, Scene, load_dataset, save_dataset
 from .matching import MatchResult, match_frame
-from .stats import FieldEstimates, PartitionStats, accumulate_stats, estimate_mle
+from .stats import PartitionStats, accumulate_stats, estimate_mle
 from .car import CarConvergenceError, CarSpec, FieldObservation, build_adjacency, fit_car, sparse_adjacency
 from .learn import EmptyDatasetError, LearnDiagnostics, learn_pem
 from .synthetic import SyntheticDatasetConfig, synthesize_dataset
@@ -52,7 +52,6 @@ __all__ = [
     "DuplicateIdError",
     "EmptyDatasetError",
     "ErrorDistribution",
-    "FieldEstimates",
     "FieldObservation",
     "Frame",
     "GridSpec",

@@ -15,6 +15,7 @@ import json
 import signal
 import sys
 import threading
+from collections import Counter
 from pathlib import Path
 
 from . import __version__
@@ -230,15 +231,18 @@ def _resolve_scenario(entry: str):
 def cmd_simulate(args) -> int:
     scenarios = [_resolve_scenario(s) for s in args.scenario]
     policy = _policy_from_file(args.policy)
-    sources = []
-    for entry in args.model or []:
-        name, path = next(iter(_parse_model_args([entry]).items()))
-        sources.append(ModelSource(load_model(path), label=name))
+    models = _parse_model_args(args.model or [])
+    sources = [ModelSource(load_model(path), label=name) for name, path in models.items()]
     for entry in args.server or []:
         host, port, name = _parse_server_spec(entry)
         sources.append(RemoteSource(host, port, name, label=f"remote:{name}"))
     if not sources and not args.baseline:
         raise UsageError("nothing to simulate: give --model, --server, or --baseline")
+    # Each source label names an output directory and a report row; a repeat would overwrite one.
+    labels = [source.label for source in sources] + ([GroundTruthSource.label] if args.baseline else [])
+    repeated = next((label for label, n in Counter(labels).items() if n > 1), None)
+    if repeated is not None:
+        raise UsageError(f"duplicate source label {repeated!r}")
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -273,7 +277,6 @@ def cmd_simulate(args) -> int:
     combined = merge_reports(reports)
     (out_dir / "report.json").write_text(_canonical_json(combined.to_dict()), encoding="utf-8")
     (out_dir / "table.txt").write_text(render_table(combined), encoding="utf-8")
-    model_paths = [Path(entry.partition("=")[2] or entry) for entry in (args.model or [])]
     scenario_paths = [Path(s) for s in args.scenario if Path(s).is_file()]
     write_manifest(
         out_dir,
@@ -289,7 +292,7 @@ def cmd_simulate(args) -> int:
             "out_dir": str(out_dir),
             "policy": args.policy,
         },
-        model_paths + scenario_paths,
+        [*models.values(), *scenario_paths],
         seed=args.seed,
     )
     sys.stdout.write(render_table(combined))

@@ -261,7 +261,7 @@ def load_dataset(path: str | Path, frame_rate_hz: float = 2.0) -> PerceptionData
                 continue
             try:
                 row = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # also integer literals beyond the interpreter's digit limit
                 raise DatasetFormatError(f"line {lineno}: not valid JSON: {exc}") from exc
             try:
                 scene_id = row["scene"]

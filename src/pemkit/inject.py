@@ -93,12 +93,13 @@ def apply_pem(
     Objects at or beyond the grid's max radius are never detected; ids not in
     ``tracks`` start undetected. Returns the perceived objects in world order
     plus the new track state, which holds exactly the current frame's ids.
+    A frame that repeats an id raises DuplicateIdError, naming the repeated
+    id that appears first, before any draw.
     """
-    seen: set[int] = set()
-    for obj in world:
-        if obj.id in seen:
-            raise DuplicateIdError(f"duplicate object id {obj.id} in frame")
-        seen.add(obj.id)
+    ids = [obj.id for obj in world]
+    if len(ids) != len(set(ids)):
+        dup = next(i for i, n in Counter(ids).items() if n > 1)  # the repeated id seen first
+        raise DuplicateIdError(f"duplicate object id {dup}")
 
     perceived: list[PerceivedObject] = []
     new_tracks: TrackState = {}
@@ -141,10 +142,6 @@ class InjectorSession:
         """Perceive one frame of (id, x, y, occ); returns (source_id, x, y) in object order."""
         if self.last_t is not None and t <= self.last_t:
             raise TimeRegressionError(f"frame t {t} not greater than {self.last_t}")
-        ids = [obj[0] for obj in objects]
-        if len(ids) != len(set(ids)):
-            dup = next(i for i, n in Counter(ids).items() if n > 1)  # the repeated id seen first
-            raise DuplicateIdError(f"duplicate object id {dup}")
         world = [GroundTruthObject(oid, polar_from_xy(x, y), OcclusionLevel(occ)) for oid, x, y, occ in objects]
         perceived, self.tracks = apply_pem(self.model, world, self.tracks, self.rng)
         self.last_t = t

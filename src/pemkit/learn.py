@@ -8,22 +8,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .car import CarFit, CarSpec, FieldObservation, fit_car
+from .car import CarFit, CarSpec, fit_car
 from .dataset import PerceptionDataset
 from .geometry import GridSpec
 from .matching import DEFAULT_GATE_M
 from .model import PemModel
-from .stats import FIELD_NAMES, FieldEstimates, PartitionStats, accumulate_stats, estimate_mle
-
-_FIELD_KINDS = {
-    "a01": "binomial",
-    "a11": "binomial",
-    "mu_r": "mean",
-    "mu_theta": "mean",
-    "sigma_r": "log_scale",
-    "sigma_theta": "log_scale",
-    "rho": "fisher_z",
-}
+from .stats import PartitionStats, accumulate_stats, estimate_mle
 
 
 class EmptyDatasetError(ValueError):
@@ -93,33 +83,6 @@ class LearnDiagnostics:
         }
 
 
-def field_observation(estimates: FieldEstimates, name: str) -> FieldObservation:
-    """Package one field of the raw estimates for the smoother."""
-    f = estimates.field_index(name)
-    return FieldObservation(
-        kind=_FIELD_KINDS[name],
-        values=estimates.values[f],
-        weights=estimates.weights[f],
-        empty=estimates.empty[f],
-        scale=estimates.scales.get(name, 1.0),
-    )
-
-
-def fit_fields(
-    estimates: FieldEstimates, spec: CarSpec, timings: StageTimes | None = None
-) -> tuple[dict[str, np.ndarray], dict[str, CarFit]]:
-    """Smooth each of the seven fields independently."""
-    timings = timings or StageTimes()
-    values: dict[str, np.ndarray] = {}
-    fits: dict[str, CarFit] = {}
-    for name in FIELD_NAMES:
-        with timings.stage(f"fit {name}"):
-            fit = fit_car(field_observation(estimates, name), spec, field_name=name)
-        values[name] = fit.values
-        fits[name] = fit
-    return values, fits
-
-
 def learn_pem(
     dataset: PerceptionDataset,
     grid: GridSpec | None = None,
@@ -147,14 +110,18 @@ def learn_from_stats(
     metadata: str = "learned",
     timings: StageTimes | None = None,
 ) -> tuple[PemModel, LearnDiagnostics]:
+    """Estimate each field from merged statistics and smooth it into a model."""
     if stats.total_transitions == 0 and stats.total_samples == 0:
         raise EmptyDatasetError("no observations")
     timings = timings or StageTimes()
     spec = car_spec or CarSpec.for_grid(stats.grid)
     with timings.stage("estimate"):
-        estimates = estimate_mle(stats)
-    values, fits = fit_fields(estimates, spec, timings)
-    model = PemModel(grid=stats.grid, metadata=metadata, **values)
+        observations = estimate_mle(stats)
+    fits: dict[str, CarFit] = {}
+    for name, obs in observations.items():
+        with timings.stage(f"fit {name}"):
+            fits[name] = fit_car(obs, spec, field_name=name)
+    model = PemModel(grid=stats.grid, metadata=metadata, **{name: fit.values for name, fit in fits.items()})
     diagnostics = LearnDiagnostics(
         fits=fits,
         transition_counts=stats.transitions.reshape(stats.grid.n_conditions, 4).sum(axis=1),
@@ -162,6 +129,6 @@ def learn_from_stats(
         matched=stats.matched,
         unmatched_gt=stats.unmatched_gt,
         unmatched_det=stats.unmatched_det,
-        empty_cells={name: int(estimates.empty[f].sum()) for f, name in enumerate(FIELD_NAMES)},
+        empty_cells={name: int(obs.empty.sum()) for name, obs in observations.items()},
     )
     return model, diagnostics

@@ -64,10 +64,19 @@ _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
 def _is_number(v) -> bool:
-    """An int (not bool) or a finite float; literals such as 1e999 overflow to inf."""
+    """An int (not bool) or float that converts to a finite float.
+
+    Literals such as 1e999 decode to inf; integers beyond the float range,
+    such as 10**400, decode exactly but overflow on conversion.
+    """
     if isinstance(v, float):
         return math.isfinite(v)
-    return isinstance(v, int) and not isinstance(v, bool)
+    if not _is_int(v):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def _is_int(v) -> bool:
@@ -89,6 +98,8 @@ def parse_request(line: bytes | str) -> dict:
         msg = _DECODER.decode(line)
     except json.JSONDecodeError:
         raise ProtocolError(ERR_MALFORMED, "line is not valid JSON")
+    except ValueError:  # an integer literal longer than the interpreter's digit limit (4300 by default)
+        raise ProtocolError(ERR_MALFORMED, "line holds an integer too long to decode")
     if not isinstance(msg, dict) or "type" not in msg:
         raise ProtocolError(ERR_MALFORMED, "request must be an object with a type field")
     kind = msg["type"]

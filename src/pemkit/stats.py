@@ -1,4 +1,11 @@
-"""Sufficient statistics per condition and their maximum-likelihood estimates."""
+"""Sufficient statistics per condition and the smoother's per-field observations.
+
+``accumulate_stats`` matches every frame and counts, per condition,
+detection-state transitions and positional error samples. ``estimate_mle``
+turns those counts into one closed-form estimate per model field and
+condition, packaged as the ``car.FieldObservation`` that ``fit_car``
+smooths; ``FIELD_KINDS`` names the likelihood each field is smoothed under.
+"""
 
 from __future__ import annotations
 
@@ -6,49 +13,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .car import FieldKind, FieldObservation
 from .dataset import PerceptionDataset
 from .geometry import GridSpec, conditions_of, wrap_angles, xy_from_polar_arrays
 from .geometry import condition_of  # noqa: F401  (kept importable here: perfbench traces stats.condition_of)
 from .inject import DuplicateIdError
 from .matching import DEFAULT_GATE_M, match_points
 from .matching import match_frame  # noqa: F401  (kept importable here: perfbench traces stats.match_frame)
+from .model import PARAM_NAMES
 
-FIELD_NAMES = ("a01", "a11", "mu_r", "mu_theta", "sigma_r", "sigma_theta", "rho")
+FIELD_NAMES = PARAM_NAMES
 
 # Correlations estimated from very few samples hit exactly +/-1; keep them
 # inside the open interval so the Fisher-z transform stays finite.
 _RHO_CLAMP = 0.999
 _SIGMA_FLOOR = 1e-12
-
-
-class CellSamples:
-    """Per-condition view of a ``PartitionStats``' error samples.
-
-    ``samples[c]`` is condition c's list of (eps_r, eps_theta) pairs in
-    insertion order; assigning ``samples[c] = pairs`` replaces them.
-    """
-
-    __slots__ = ("_stats",)
-
-    def __init__(self, stats: "PartitionStats"):
-        self._stats = stats
-
-    def __len__(self) -> int:
-        return self._stats.grid.n_conditions
-
-    def __getitem__(self, c: int) -> list[tuple[float, float]]:
-        st = self._stats
-        mine = st.sample_cell == range(len(self))[c]
-        return list(zip(st.eps_r[mine].tolist(), st.eps_theta[mine].tolist()))
-
-    def __setitem__(self, c: int, pairs) -> None:
-        st = self._stats
-        c = range(len(self))[c]
-        new = np.asarray(list(pairs), dtype=float).reshape(-1, 2)
-        keep = st.sample_cell != c
-        st.sample_cell = np.concatenate([st.sample_cell[keep], np.full(len(new), c, dtype=np.int64)])
-        st.eps_r = np.concatenate([st.eps_r[keep], new[:, 0]])
-        st.eps_theta = np.concatenate([st.eps_theta[keep], new[:, 1]])
 
 
 @dataclass(slots=True)
@@ -76,10 +55,6 @@ class PartitionStats:
     @classmethod
     def empty(cls, grid: GridSpec) -> "PartitionStats":
         return cls(grid=grid, transitions=np.zeros((grid.n_conditions, 2, 2), dtype=np.int64))
-
-    @property
-    def samples(self) -> CellSamples:
-        return CellSamples(self)
 
     def merge(self, other: "PartitionStats") -> "PartitionStats":
         if self.grid != other.grid:
@@ -185,33 +160,26 @@ def accumulate_stats(
     return stats
 
 
-@dataclass(slots=True)
-class FieldEstimates:
-    """Raw per-condition MLE values for the seven model fields.
-
-    ``values[f, c]`` is field f's estimate in condition c, ``weights[f, c]``
-    the data volume behind it (transition row counts or sample counts), and
-    ``empty[f, c]`` marks conditions where the estimate is undefined.
-    ``scales`` carries the pooled within-condition sample deviation used as
-    the observation noise scale for the two mean fields.
-    """
-
-    grid: GridSpec
-    values: np.ndarray
-    weights: np.ndarray
-    empty: np.ndarray
-    scales: dict[str, float] = field(default_factory=dict)
-
-    def field_index(self, name: str) -> int:
-        return FIELD_NAMES.index(name)
+# The likelihood and fitting scale of each field (see car.FieldObservation),
+# in FIELD_NAMES order: transition ratios, error means, deviations, correlation.
+FIELD_KINDS: dict[str, FieldKind] = dict(
+    zip(FIELD_NAMES, ("binomial", "binomial", "mean", "mean", "log_scale", "log_scale", "fisher_z"))
+)
 
 
-def estimate_mle(stats: PartitionStats) -> FieldEstimates:
-    """Closed-form per-condition estimates: transition ratios, moments, correlation.
+def estimate_mle(stats: PartitionStats) -> dict[str, FieldObservation]:
+    """Closed-form per-condition estimates as the smoother's observations.
 
-    Transition rows with no observations are flagged empty, as are moment
-    fields with fewer than two samples. Emptiness is data for the spatial
-    smoother, not an error.
+    Returns one ``FieldObservation`` per name in ``FIELD_NAMES``, in that
+    order, of kind ``FIELD_KINDS[name]``. ``a01`` and ``a11`` are transition
+    ratios weighted by their row counts. The error fields are the sample
+    mean, the ddof=1 deviation (floored above zero) and the clamped
+    correlation of (eps_r, eps_theta), weighted by the condition's sample
+    count. Transition rows with no observations are flagged empty, as are
+    deviations with fewer than two samples and correlations with fewer than
+    two samples or a zero deviation. ``scale`` is the pooled within-condition sample
+    deviation for ``mu_r`` and ``mu_theta`` and 1.0 for the other fields.
+    Emptiness is data for the spatial smoother, not an error.
     """
     n = stats.grid.n_conditions
     values = np.zeros((7, n))
@@ -229,7 +197,7 @@ def estimate_mle(stats: PartitionStats) -> FieldEstimates:
     empty[0] = ~has0
     empty[1] = ~has1
 
-    pooled_ss = {"mu_r": 0.0, "mu_theta": 0.0}
+    pooled_ss = [0.0, 0.0]
     pooled_df = 0
     # Contiguous (k, 2) blocks per condition, insertion order kept within each.
     by_cell = np.argsort(stats.sample_cell, kind="stable")
@@ -255,12 +223,13 @@ def estimate_mle(stats: PartitionStats) -> FieldEstimates:
                 values[6, c] = float(np.clip(rho, -_RHO_CLAMP, _RHO_CLAMP))
                 weights[6, c] = k
                 empty[6, c] = False
-            pooled_ss["mu_r"] += float(((arr[:, 0] - mean[0]) ** 2).sum())
-            pooled_ss["mu_theta"] += float(((arr[:, 1] - mean[1]) ** 2).sum())
+            pooled_ss[0] += float(((arr[:, 0] - mean[0]) ** 2).sum())
+            pooled_ss[1] += float(((arr[:, 1] - mean[1]) ** 2).sum())
             pooled_df += k - 1
 
-    scales = {}
-    for name in ("mu_r", "mu_theta"):
-        var = pooled_ss[name] / pooled_df if pooled_df > 0 else 0.0
-        scales[name] = max(np.sqrt(var), 1e-6)
-    return FieldEstimates(grid=stats.grid, values=values, weights=weights, empty=empty, scales=scales)
+    pooled_sd = [max(np.sqrt(ss / pooled_df if pooled_df > 0 else 0.0), 1e-6) for ss in pooled_ss]
+    scales = [1.0, 1.0, *pooled_sd, 1.0, 1.0, 1.0]
+    return {
+        name: FieldObservation(kind, values[f], weights[f], empty[f], scales[f])
+        for f, (name, kind) in enumerate(FIELD_KINDS.items())
+    }

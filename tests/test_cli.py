@@ -13,6 +13,7 @@ from pemkit import (
     PemModel,
     TransitionMatrix,
     load_model,
+    never_detect_model,
     perfect_model,
     save_dataset,
     save_model,
@@ -201,6 +202,43 @@ def test_simulate_is_byte_reproducible(tmp_path):
 def test_simulate_usage_error(tmp_path, capsys):
     code = main(["simulate", "--scenario", "TC1", "--out-dir", str(tmp_path / "x")])
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "sources, label",
+    [
+        (["--model", "a={p}", "--model", "a={n}"], "a"),
+        (["--model", "{p}", "--model", "{other}/p.json"], "p"),
+        (["--server", "127.0.0.1:1:m", "--server", "127.0.0.1:2:m"], "remote:m"),
+        (["--model", "remote:m={p}", "--server", "127.0.0.1:1:m"], "remote:m"),
+        (["--model", "groundtruth={p}", "--baseline"], "groundtruth"),
+        (["--model", "={p}", "--model", "perfect={n}"], "perfect"),  # an empty name labels by model metadata
+    ],
+    ids=["model-name", "file-stem", "server-model", "model-and-server", "baseline", "metadata"],
+)
+def test_simulate_rejects_repeated_source_labels(tmp_path, capsys, sources, label):
+    (tmp_path / "other").mkdir()
+    paths = {"p": tmp_path / "p.json", "n": tmp_path / "n.json", "other": tmp_path / "other"}
+    save_model(perfect_model(), paths["p"])
+    save_model(never_detect_model(), paths["n"])
+    save_model(never_detect_model(), paths["other"] / "p.json")
+    out = tmp_path / "sim"
+    args = [a.format(**paths) for a in sources]
+    code = main(["simulate", "--scenario", "TC1", *args, "--runs", "2", "--out-dir", str(out)])
+    assert code == EXIT_USAGE
+    assert repr(label) in capsys.readouterr().err
+    assert not out.exists()  # rejected before any run
+
+
+def test_simulate_manifest_lists_model_paths(tmp_path):
+    save_model(perfect_model(), tmp_path / "p.json")
+    save_model(never_detect_model(), tmp_path / "n.json")
+    out = tmp_path / "sim"
+    args = ["--model", f"a={tmp_path / 'p.json'}", "--model", str(tmp_path / "n.json")]
+    assert main(["simulate", "--scenario", "TC1", *args, "--runs", "1", "--out-dir", str(out)]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(manifest["inputs"]) == [str(tmp_path / "n.json"), str(tmp_path / "p.json")]
+    assert {c["source"] for c in json.loads((out / "report.json").read_text())["cells"]} == {"a", "n"}
 
 
 def test_serve_subprocess_and_shutdown(tmp_path):

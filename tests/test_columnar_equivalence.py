@@ -134,8 +134,6 @@ def test_accumulate_matches_object_oracle(dataset):
     assert np.array_equal(stats.transitions, transitions)
     assert _flat_samples(stats) == samples  # exact values, insertion order
     assert (stats.matched, stats.unmatched_gt, stats.unmatched_det) == coverage
-    for c in range(GRID.n_conditions):
-        assert stats.samples[c] == [(er, et) for cell, er, et in samples if cell == c]
 
 
 @settings(max_examples=500, deadline=None)

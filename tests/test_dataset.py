@@ -44,6 +44,12 @@ def test_non_finite_coordinates_rejected_with_line(tmp_path, literal, where):
         load_dataset(path)
 
 
+def test_integer_beyond_digit_limit_rejected_with_line(tmp_path):
+    line = row(1).replace('"x": 1.0', '"x": 1' + "0" * 5000)
+    with pytest.raises(DatasetFormatError, match=r"^line 2: not valid JSON"):
+        load_dataset(write(tmp_path, [row(0), line]))
+
+
 def test_time_gap_counts_no_transition(tmp_path):
     consecutive = load_dataset(write(tmp_path, [row(0), row(1), row(2)]))
     assert accumulate_stats(consecutive, GRID).total_transitions == 2

@@ -131,6 +131,10 @@ def test_apply_rejects_duplicate_ids():
     ]
     with pytest.raises(DuplicateIdError):
         apply_pem(perfect_model(GRID), world, {}, session_rng(0))
+    # The message names the repeated id that appears first, not the first repeat.
+    world = [GroundTruthObject(i, PolarCoord(10.0 + i, 0.0), OcclusionLevel.VIS3) for i in (1, 2, 2, 1)]
+    with pytest.raises(DuplicateIdError, match=r"^duplicate object id 1$"):
+        apply_pem(perfect_model(GRID), world, {}, session_rng(0))
 
 
 def test_apply_out_of_range_never_detected():

@@ -16,7 +16,6 @@ from pemkit import (
     perfect_model,
     synthesize_dataset,
 )
-from pemkit.learn import field_observation
 from pemkit.stats import FIELD_NAMES
 
 GRID = GridSpec(sector_width_deg=90.0, ring_depth_m=10.0, max_radius_m=20.0)
@@ -94,8 +93,26 @@ def test_unvisited_cells_match_standalone_smoother():
     estimates = estimate_mle(stats)
     spec = CarSpec.for_grid(GRID)
     for name in FIELD_NAMES:
-        fit = fit_car(field_observation(estimates, name), spec, field_name=name)
+        fit = fit_car(estimates[name], spec, field_name=name)
         assert np.array_equal(getattr(model, name), fit.values)
+
+
+def test_empty_cells_count_each_observations_empty_conditions():
+    cfg = SyntheticDatasetConfig(
+        true_model=heterogeneous_truth(),
+        n_scenes=3,
+        frames_per_scene=10,
+        objects_per_scene=4,
+        occlusion_levels=(0, 2),
+        seed=11,
+    )
+    dataset = synthesize_dataset(cfg)
+    _, diagnostics = learn_pem(dataset, GRID)
+    observations = estimate_mle(accumulate_stats(dataset, GRID))
+    assert diagnostics.empty_cells == {name: int(obs.empty.sum()) for name, obs in observations.items()}
+    assert list(diagnostics.empty_cells) == list(FIELD_NAMES)
+    # Sparse data: some conditions are empty, and never all of them.
+    assert 0 < diagnostics.empty_cells["rho"] < GRID.n_conditions
 
 
 def test_perfect_dataset_degenerates_cleanly():

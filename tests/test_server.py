@@ -247,6 +247,30 @@ def test_non_finite_numbers_are_malformed_and_session_survives(server, line):
         assert isinstance(client.frame(0, OBJS), list)
 
 
+NOT_NUMBERS = "frame object x and y must be numbers"
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        (b'{"id":1,"x":1' + b"0" * 400 + b',"y":10.0,"occ":3}', NOT_NUMBERS),
+        (b'{"id":1,"x":-4.0,"y":-1' + b"0" * 400 + b',"occ":3}', NOT_NUMBERS),
+        (b'{"id":1,"x":1' + b"0" * 5000 + b',"y":10.0,"occ":3}', "line holds an integer too long to decode"),
+    ],
+    ids=["x", "y", "beyond-digit-limit"],
+)
+def test_huge_integer_coordinates_are_malformed_and_session_survives(server, obj, message):
+    frame0 = protocol.encode(protocol.frame_msg(0, OBJS))
+    with client_for(server) as fresh:
+        fresh.init("m", 5)
+        expected = fresh.exchange_raw(frame0)
+    with client_for(server) as client:
+        client.init("m", 5)
+        reply = client.exchange_raw(b'{"type":"frame","t":0,"objects":[' + obj + b"]}\n")
+        assert json.loads(reply) == {"type": "error", "code": "malformed", "message": message}
+        assert client.exchange_raw(frame0) == expected
+
+
 def test_duplicate_id_reply_names_first_repeated_id(server):
     objs = [{"id": i, "x": 1.0 + i, "y": 10.0, "occ": 3} for i in (1, 2, 2, 1)]
     with client_for(server) as client:

@@ -13,9 +13,17 @@ from pemkit import (
     estimate_mle,
 )
 from pemkit.dataset import Frame
-from pemkit.stats import FIELD_NAMES, PartitionStats
+from pemkit.stats import FIELD_KINDS, FIELD_NAMES, PartitionStats
 
 GRID = GridSpec(sector_width_deg=90.0, ring_depth_m=10.0, max_radius_m=20.0)
+
+
+def with_samples(stats, cells, pairs):
+    """Set the three parallel sample arrays of ``stats``, in the given order."""
+    stats.sample_cell = np.asarray(cells, dtype=np.int64)
+    stats.eps_r = np.array([er for er, _ in pairs], dtype=float)
+    stats.eps_theta = np.array([et for _, et in pairs], dtype=float)
+    return stats
 
 
 def obj(oid=0, r=5.0, theta=0.3, occ=OcclusionLevel.VIS3):
@@ -53,7 +61,7 @@ def test_error_sample_arithmetic():
     frame = Frame(gt=[obj(r=10.0, theta=0.5)], det=[PolarCoord(11.0, 0.52)])
     ds = PerceptionDataset([Scene(0, [frame])])
     stats = accumulate_stats(ds, GRID)
-    cond_samples = [s for samples in stats.samples for s in samples]
+    cond_samples = list(zip(stats.eps_r.tolist(), stats.eps_theta.tolist()))
     assert len(cond_samples) == 1
     eps_r, eps_theta = cond_samples[0]
     assert eps_r == pytest.approx(1.1)
@@ -125,9 +133,9 @@ def test_mle_transition_ratio():
     stats.transitions[3, 1, 1] = 8
     stats.transitions[3, 1, 0] = 2
     est = estimate_mle(stats)
-    assert est.values[FIELD_NAMES.index("a11"), 3] == pytest.approx(0.8)
-    assert not est.empty[FIELD_NAMES.index("a11"), 3]
-    assert est.empty[FIELD_NAMES.index("a01"), 3]  # no 0-row data
+    assert est["a11"].values[3] == pytest.approx(0.8)
+    assert not est["a11"].empty[3]
+    assert est["a01"].empty[3]  # no 0-row data
 
 
 def test_mle_row_sums_where_defined():
@@ -135,7 +143,7 @@ def test_mle_row_sums_where_defined():
     stats = PartitionStats.empty(GRID)
     stats.transitions[:] = rng.integers(0, 20, size=stats.transitions.shape)
     est = estimate_mle(stats)
-    a01 = est.values[0]
+    a01 = est["a01"].values
     row0 = stats.transitions[:, 0, :].sum(axis=1)
     defined = row0 > 0
     # a00 = 1 - a01 by construction; the ratio matches the counts
@@ -143,24 +151,58 @@ def test_mle_row_sums_where_defined():
 
 
 def test_mle_moments():
-    stats = PartitionStats.empty(GRID)
-    stats.samples[2] = [(1.0, 0.0), (1.2, 0.1)]
+    stats = with_samples(PartitionStats.empty(GRID), [2, 2], [(1.0, 0.0), (1.2, 0.1)])
     est = estimate_mle(stats)
-    assert est.values[FIELD_NAMES.index("mu_r"), 2] == pytest.approx(1.1)
-    assert est.values[FIELD_NAMES.index("mu_theta"), 2] == pytest.approx(0.05)
-    assert est.values[FIELD_NAMES.index("sigma_r"), 2] == pytest.approx(np.std([1.0, 1.2], ddof=1))
+    assert est["mu_r"].values[2] == pytest.approx(1.1)
+    assert est["mu_theta"].values[2] == pytest.approx(0.05)
+    assert est["sigma_r"].values[2] == pytest.approx(np.std([1.0, 1.2], ddof=1))
     # two points are perfectly correlated; the estimate is clamped inside (-1, 1)
-    assert abs(est.values[FIELD_NAMES.index("rho"), 2]) <= 0.999
+    assert abs(est["rho"].values[2]) <= 0.999
 
 
 def test_mle_empty_condition_flags():
-    stats = PartitionStats.empty(GRID)
-    stats.samples[0] = [(1.05, 0.01)]  # one sample: mean defined, spread not
+    stats = with_samples(PartitionStats.empty(GRID), [0], [(1.05, 0.01)])  # one sample: mean defined, spread not
     est = estimate_mle(stats)
-    assert not est.empty[FIELD_NAMES.index("mu_r"), 0]
-    assert est.empty[FIELD_NAMES.index("sigma_r"), 0]
-    assert est.empty[FIELD_NAMES.index("rho"), 0]
-    assert est.empty[:, 1].all()  # untouched condition fully empty
+    assert not est["mu_r"].empty[0]
+    assert est["sigma_r"].empty[0]
+    assert est["rho"].empty[0]
+    assert all(obs.empty[1] for obs in est.values())  # untouched condition fully empty
+
+
+def test_mle_returns_one_observation_per_field_in_order():
+    est = estimate_mle(PartitionStats.empty(GRID))
+    assert list(est) == list(FIELD_NAMES)
+    assert [obs.kind for obs in est.values()] == [
+        "binomial",
+        "binomial",
+        "mean",
+        "mean",
+        "log_scale",
+        "log_scale",
+        "fisher_z",
+    ]
+    assert {name: obs.kind for name, obs in est.items()} == FIELD_KINDS
+    for obs in est.values():
+        assert obs.values.shape == obs.weights.shape == obs.empty.shape == (GRID.n_conditions,)
+
+
+def test_mle_scale_is_pooled_deviation_for_the_mean_fields():
+    # Cell 1 holds three samples, cell 4 two, cell 6 one (no spread, so it
+    # adds nothing to the pool); the pool has (3 - 1) + (2 - 1) = 3 degrees
+    # of freedom.
+    cells = [1, 4, 1, 6, 4, 1]
+    pairs = [(1.0, 0.01), (0.9, -0.02), (1.2, 0.03), (1.5, 0.5), (1.1, 0.0), (1.1, -0.01)]
+    est = estimate_mle(with_samples(PartitionStats.empty(GRID), cells, pairs))
+    by_cell = {c: np.array([p for cc, p in zip(cells, pairs) if cc == c]) for c in (1, 4)}
+    ss = sum(((a - a.mean(axis=0)) ** 2).sum(axis=0) for a in by_cell.values())
+    expected = np.sqrt(ss / 3)
+    assert est["mu_r"].scale == pytest.approx(expected[0], rel=1e-12)
+    assert est["mu_theta"].scale == pytest.approx(expected[1], rel=1e-12)
+    for name in ("a01", "a11", "sigma_r", "sigma_theta", "rho"):
+        assert est[name].scale == 1.0
+    # Without two samples in any condition the pool is empty and the scale floors.
+    lone = estimate_mle(with_samples(PartitionStats.empty(GRID), [6], [(1.5, 0.5)]))
+    assert lone["mu_r"].scale == lone["mu_theta"].scale == 1e-6
 
 
 def test_match_coverage_totals_and_merge():
