@@ -30,11 +30,8 @@ from .inject import (
     DuplicateIdError,
     GroundTruthObject,
     PerceivedObject,
-    TrackState,
     apply_pem,
-    sample_error,
     session_rng,
-    step_detection,
 )
 from .dataset import Frame, PerceptionDataset, Scene, load_dataset, save_dataset
 from .matching import MatchResult, match_frame
@@ -70,7 +67,6 @@ __all__ = [
     "RemoteError",
     "Scene",
     "SyntheticDatasetConfig",
-    "TrackState",
     "TransitionMatrix",
     "accumulate_stats",
     "apply_pem",
@@ -88,14 +84,12 @@ __all__ = [
     "perfect_model",
     "polar_from_xy",
     "replay_transcript",
-    "sample_error",
     "save_dataset",
     "save_model",
     "serve_in_thread",
     "session_rng",
     "sparse_adjacency",
     "stationary_detection",
-    "step_detection",
     "synthesize_dataset",
     "wrap_angle",
     "xy_from_polar",

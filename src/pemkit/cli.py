@@ -21,7 +21,7 @@ from pathlib import Path
 from . import __version__
 from .car import CarConvergenceError, CarSpec
 from .dataset import DatasetFormatError, load_dataset
-from .geometry import GridSpec, N_OCCLUSION_LEVELS, sector_of
+from .geometry import GridSpec, N_OCCLUSION_LEVELS, condition_index, sector_of
 from .learn import EmptyDatasetError, StageTimes, learn_pem
 from .model import ModelFormatError, PARAM_NAMES, load_model, save_model, stationary_detection
 from .protocol import DEFAULT_PORT
@@ -148,7 +148,7 @@ def cmd_inspect(args) -> int:
                 writer.writerow(["ring", "sector", "value"])
                 for ring in range(grid.n_rings):
                     for sector in range(grid.n_sectors):
-                        index = occ * grid.n_rings * grid.n_sectors + ring * grid.n_sectors + sector
+                        index = condition_index(occ, ring, sector, grid)
                         writer.writerow([ring, sector, repr(value_at(name, index))])
             emitted.append(path)
 
@@ -161,8 +161,7 @@ def cmd_inspect(args) -> int:
         for ring in range(grid.n_rings):
             row = [ring]
             for occ in range(N_OCCLUSION_LEVELS):
-                index = occ * grid.n_rings * grid.n_sectors + ring * grid.n_sectors + frontal
-                row.append(repr(value_at(args.parameter, index)))
+                row.append(repr(value_at(args.parameter, condition_index(occ, ring, frontal, grid))))
             writer.writerow(row)
     emitted.append(path)
 
@@ -218,6 +217,14 @@ def _policy_from_file(path: str | None) -> PolicyConfig:
     if path is None:
         return PolicyConfig()
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(doc, dict):
+        raise ValueError(f"policy file {path} must hold a JSON object")
+    known = PolicyConfig.__dataclass_fields__
+    for key, value in doc.items():
+        if key not in known:
+            raise ValueError(f"policy file {path}: unknown key {key!r}; valid: {', '.join(known)}")
+        if type(value) not in (int, float):
+            raise ValueError(f"policy file {path}: {key} must be a number, got {value!r}")
     return PolicyConfig(**doc)
 
 
@@ -432,9 +439,10 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        if "--config" in argv:
-            pre = argv.index("--config")
-            config_path = argv[pre + 1]
+        pre = _Parser(add_help=False)
+        pre.add_argument("--config")
+        config_path = pre.parse_known_args(argv)[0].config
+        if config_path is not None:
             defaults = json.loads(Path(config_path).read_text(encoding="utf-8"))
             if not isinstance(defaults, dict):
                 raise UsageError("--config file must hold a JSON object")

@@ -97,7 +97,10 @@ class DatasetBuilder:
         self.scene_ids.append(scene_id)
         self.scene_frames.append(0)
 
-    def add_frame(self, gt: list[GroundTruthObject], det: list[PolarCoord], t: int | None = None) -> None:
+    def add_frame(
+        self, gt: list[tuple[int, float, float, int]], det: list[tuple[float, float]], t: int | None = None
+    ) -> None:
+        """Append a frame to the current scene: ground truth as (id, r, theta, occ), detections as (r, theta)."""
         if t is None:
             t = self.scene_frames[-1]
         if self.scene_frames[-1] and t <= self.t[-1]:
@@ -106,14 +109,14 @@ class DatasetBuilder:
         self.t.append(t)
         self.gt_counts.append(len(gt))
         self.det_counts.append(len(det))
-        for obj in gt:
-            self.gt_id.append(obj.id)
-            self.gt_r.append(obj.position.r)
-            self.gt_theta.append(obj.position.theta)
-            self.gt_occ.append(obj.occlusion)
-        for p in det:
-            self.det_r.append(p.r)
-            self.det_theta.append(p.theta)
+        for oid, r, theta, occ in gt:
+            self.gt_id.append(oid)
+            self.gt_r.append(r)
+            self.gt_theta.append(theta)
+            self.gt_occ.append(occ)
+        for r, theta in det:
+            self.det_r.append(r)
+            self.det_theta.append(theta)
 
     def build(self, frame_rate_hz: float = 2.0) -> "PerceptionDataset":
         return PerceptionDataset.from_columns(self.columns(), frame_rate_hz)
@@ -157,7 +160,8 @@ class PerceptionDataset:
         for scene in scenes:
             builder.add_scene(scene.scene_id)
             for frame in scene.frames:
-                builder.add_frame(frame.gt, frame.det, frame.t)
+                gt = [(obj.id, obj.position.r, obj.position.theta, obj.occlusion) for obj in frame.gt]
+                builder.add_frame(gt, [(p.r, p.theta) for p in frame.det], frame.t)
         self._set_columns(builder.columns(), frame_rate_hz)
 
     @classmethod

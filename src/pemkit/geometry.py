@@ -206,5 +206,5 @@ def conditions_of(r: ArrayLike, theta: ArrayLike, occ: ArrayLike, grid: GridSpec
     inside = r < grid.max_radius_m
     ring = np.minimum(np.where(inside, r, 0.0) // grid.ring_depth_m, grid.n_rings - 1).astype(np.int64)
     sector = np.minimum((np.asarray(theta, dtype=float) % TWO_PI) // grid.sector_width_rad, grid.n_sectors - 1)
-    index = (np.asarray(occ, dtype=np.int64) * grid.n_rings + ring) * grid.n_sectors + sector.astype(np.int64)
+    index = condition_index(np.asarray(occ, dtype=np.int64), ring, sector.astype(np.int64), grid)
     return np.where(inside, index, -1)

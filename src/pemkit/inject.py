@@ -1,7 +1,11 @@
 """Error injection: turn a ground-truth world into a perceived world.
 
 Each object carries a binary detection state v that evolves as a two-state
-Markov chain per condition; detected objects get a positional error draw.
+Markov chain per condition; detected objects get a bivariate Gaussian error
+on range ratio and bearing. One loop, ``perceive``, applies this rule to plain
+``(id, r, theta, occ)`` tuples; ``InjectorSession`` (serve and simulate) and
+``synthesize_dataset`` call it, and ``apply_pem`` is its object form.
+
 Random-number consumption is fixed so that two processes running the same
 model, world sequence, and seed produce identical perceived sequences:
 per in-range object one uniform for the detection step, then two standard
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Condition, GridSpec, OcclusionLevel, PolarCoord, condition_of, polar_from_xy, wrap_angle, xy_from_polar
+from .geometry import OcclusionLevel, PolarCoord, condition_of, polar_from_xy, wrap_angle, xy_from_polar
 from .model import PemModel
 
 # Perceived range is clamped here; a Gaussian radial ratio can go non-positive.
@@ -48,11 +52,6 @@ class PerceivedObject:
     position: PolarCoord
 
 
-# Detection states of the ids seen in the previous frame; ids absent from the
-# current frame are evicted on every apply_pem call.
-TrackState = dict[int, int]
-
-
 def session_rng(seed: int, reset_count: int = 0) -> np.random.Generator:
     """The one seeding rule shared by local injection and the wire server.
 
@@ -62,61 +61,58 @@ def session_rng(seed: int, reset_count: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, reset_count]))
 
 
-def step_detection(model: PemModel, cond: Condition, prev_v: int, rng: np.random.Generator) -> int:
-    """Advance one object's detection chain by one frame; consumes one uniform draw."""
-    p = model.a11[cond.index] if prev_v else model.a01[cond.index]
-    return 1 if rng.random() < p else 0
+def perceive(
+    model: PemModel,
+    world: list[tuple[int, float, float, int]],
+    tracks: dict[int, int],
+    rng: np.random.Generator,
+) -> tuple[list[tuple[int, float, float]], dict[int, int]]:
+    """Process one frame of (id, r, theta, occ): step every object's chain and emit the detected ones.
 
-
-def sample_error(model: PemModel, cond: Condition, rng: np.random.Generator) -> tuple[float, float]:
-    """Draw (eps_r, eps_theta) from the condition's bivariate Gaussian.
-
-    Only meaningful for detected objects; undetected objects get no emission.
-    Consumes exactly two standard-normal draws.
+    ``tracks`` maps each id of the previous frame to its detection state;
+    ids not in it start undetected, and objects at or beyond the grid's max
+    radius are never detected. Returns (id, r, theta) per detected object in
+    world order, plus the new track state, which holds exactly this frame's
+    ids. A repeated id raises DuplicateIdError, naming the repeated id that
+    appears first, and an invalid position or occlusion level raises
+    ValueError; both before any draw.
     """
-    z = rng.standard_normal(2)
-    i = cond.index
-    eps_r = model.mu_r[i] + model.sigma_r[i] * z[0]
-    rho = model.rho[i]
-    eps_theta = model.mu_theta[i] + model.sigma_theta[i] * (rho * z[0] + math.sqrt(1.0 - rho * rho) * z[1])
-    return float(eps_r), float(eps_theta)
+    ids = [obj[0] for obj in world]
+    if len(ids) != len(set(ids)):
+        dup = next(i for i, n in Counter(ids).items() if n > 1)  # the repeated id seen first
+        raise DuplicateIdError(f"duplicate object id {dup}")
+    grid = model.grid
+    cells = [condition_of(PolarCoord(r, theta), OcclusionLevel(occ), grid) for _, r, theta, occ in world]
+
+    perceived: list[tuple[int, float, float]] = []
+    new_tracks: dict[int, int] = {}
+    for (oid, r, theta, _), cond in zip(world, cells):
+        if cond is None:
+            new_tracks[oid] = 0
+            continue
+        i = cond.index
+        p_detect = model.a11[i] if tracks.get(oid, 0) else model.a01[i]
+        detected = new_tracks[oid] = 1 if rng.random() < p_detect else 0
+        if detected:
+            z = rng.standard_normal(2)
+            rho = model.rho[i]
+            eps_r = float(model.mu_r[i] + model.sigma_r[i] * z[0])
+            z_theta = rho * z[0] + math.sqrt(1.0 - rho * rho) * z[1]
+            eps_theta = float(model.mu_theta[i] + model.sigma_theta[i] * z_theta)
+            perceived.append((oid, max(r * eps_r, MIN_PERCEIVED_RANGE_M), wrap_angle(theta + eps_theta)))
+    return perceived, new_tracks
 
 
 def apply_pem(
     model: PemModel,
     world: list[GroundTruthObject],
-    tracks: TrackState,
+    tracks: dict[int, int],
     rng: np.random.Generator,
-) -> tuple[list[PerceivedObject], TrackState]:
-    """Process one frame: step every object's chain and emit detected objects.
-
-    Objects at or beyond the grid's max radius are never detected; ids not in
-    ``tracks`` start undetected. Returns the perceived objects in world order
-    plus the new track state, which holds exactly the current frame's ids.
-    A frame that repeats an id raises DuplicateIdError, naming the repeated
-    id that appears first, before any draw.
-    """
-    ids = [obj.id for obj in world]
-    if len(ids) != len(set(ids)):
-        dup = next(i for i, n in Counter(ids).items() if n > 1)  # the repeated id seen first
-        raise DuplicateIdError(f"duplicate object id {dup}")
-
-    perceived: list[PerceivedObject] = []
-    new_tracks: TrackState = {}
-    grid: GridSpec = model.grid
-    for obj in world:
-        cond = condition_of(obj.position, obj.occlusion, grid)
-        if cond is None:
-            new_tracks[obj.id] = 0
-            continue
-        v = step_detection(model, cond, tracks.get(obj.id, 0), rng)
-        new_tracks[obj.id] = v
-        if v:
-            eps_r, eps_theta = sample_error(model, cond, rng)
-            r = max(obj.position.r * eps_r, MIN_PERCEIVED_RANGE_M)
-            theta = wrap_angle(obj.position.theta + eps_theta)
-            perceived.append(PerceivedObject(obj.id, PolarCoord(r, theta)))
-    return perceived, new_tracks
+) -> tuple[list[PerceivedObject], dict[int, int]]:
+    """``perceive`` for ground-truth objects: returns perceived objects and the new track state."""
+    plain = [(obj.id, obj.position.r, obj.position.theta, obj.occlusion) for obj in world]
+    perceived, new_tracks = perceive(model, plain, tracks, rng)
+    return [PerceivedObject(oid, PolarCoord(r, theta)) for oid, r, theta in perceived], new_tracks
 
 
 class InjectorSession:
@@ -134,7 +130,7 @@ class InjectorSession:
     def reset(self) -> None:
         """Clear tracks and the frame clock; the k-th reset reseeds from (seed, k), a new session is k = 0."""
         self.reset_count += 1
-        self.tracks: TrackState = {}
+        self.tracks: dict[int, int] = {}
         self.last_t: int | None = None
         self.rng = session_rng(self.seed, self.reset_count)
 
@@ -142,7 +138,8 @@ class InjectorSession:
         """Perceive one frame of (id, x, y, occ); returns (source_id, x, y) in object order."""
         if self.last_t is not None and t <= self.last_t:
             raise TimeRegressionError(f"frame t {t} not greater than {self.last_t}")
-        world = [GroundTruthObject(oid, polar_from_xy(x, y), OcclusionLevel(occ)) for oid, x, y, occ in objects]
-        perceived, self.tracks = apply_pem(self.model, world, self.tracks, self.rng)
+        polar = [polar_from_xy(x, y) for _, x, y, _ in objects]
+        world = [(obj[0], p.r, p.theta, obj[3]) for obj, p in zip(objects, polar)]
+        perceived, self.tracks = perceive(self.model, world, self.tracks, self.rng)
         self.last_t = t
-        return [(p.source_id, *xy_from_polar(p.position)) for p in perceived]
+        return [(oid, *xy_from_polar(PolarCoord(r, theta))) for oid, r, theta in perceived]

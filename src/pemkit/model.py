@@ -12,6 +12,7 @@ from .geometry import (
     N_OCCLUSION_LEVELS,
     Condition,
     GridSpec,
+    condition_from_index,
     condition_index,
 )
 
@@ -220,11 +221,9 @@ def _require(doc: dict, key: str, kind, where: str):
 
 def model_to_dict(model: PemModel) -> dict:
     conditions = []
-    per_occ = model.grid.n_rings * model.grid.n_sectors
     for index in range(model.n_conditions):
-        occ, rest = divmod(index, per_occ)
-        ring, sector = divmod(rest, model.grid.n_sectors)
-        entry = {"occ": occ, "ring": ring, "sector": sector}
+        cond = condition_from_index(index, model.grid)
+        entry = {"occ": cond.occ, "ring": cond.ring, "sector": cond.sector}
         for name in PARAM_NAMES:
             entry[name] = float(getattr(model, name)[index])
         conditions.append(entry)

@@ -125,6 +125,10 @@ class ScenarioSpec:
     ego_width: float = 1.8
 
     def __post_init__(self):
+        for name in ("tick_rate_hz", "perception_rate_hz"):
+            rate = getattr(self, name)
+            if type(rate) is not int or rate < 1:
+                raise ValueError(f"{name} must be a positive integer, got {rate!r}")
         if self.tick_rate_hz % self.perception_rate_hz != 0:
             raise ValueError("perception rate must divide tick rate")
 
@@ -261,6 +265,4 @@ def scenario_from_dict(doc: dict) -> ScenarioSpec:
     if unknown:
         raise ValueError(f"unknown scenario options for {scenario_id}: {sorted(unknown)}")
     spec = builder(**kwargs)
-    if rates:
-        spec = replace(spec, **{k: int(v) for k, v in rates.items()})
-    return spec
+    return replace(spec, **rates) if rates else spec

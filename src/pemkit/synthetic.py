@@ -12,15 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DatasetBuilder, PerceptionDataset
-from .geometry import (
-    N_OCCLUSION_LEVELS,
-    OcclusionLevel,
-    PolarCoord,
-    polar_from_xy,
-    wrap_angle,
-    xy_from_polar,
-)
-from .inject import GroundTruthObject, TrackState, apply_pem, session_rng
+from .geometry import N_OCCLUSION_LEVELS, PolarCoord, polar_from_xy_arrays, wrap_angle, xy_from_polar
+from .inject import perceive, session_rng
 from .model import PemModel
 
 
@@ -48,7 +41,8 @@ class SyntheticDatasetConfig:
             raise ValueError("occlusion_levels must be non-empty")
 
 
-def _place_objects(cfg: SyntheticDatasetConfig, rng: np.random.Generator) -> list[GroundTruthObject]:
+def _place_objects(cfg: SyntheticDatasetConfig, rng: np.random.Generator) -> list[tuple[float, float, int]]:
+    """(r, theta, occ) of each object, in id order."""
     grid = cfg.true_model.grid
     objects = []
     if cfg.placement == "stratified":
@@ -70,13 +64,12 @@ def _place_objects(cfg: SyntheticDatasetConfig, rng: np.random.Generator) -> lis
             r = (ring + slot_fractions[slot]) * grid.ring_depth_m
             angular_fraction = (occ_idx + 0.5) / len(levels)
             theta = wrap_angle((sector + angular_fraction) * grid.sector_width_rad)
-            objects.append(GroundTruthObject(i, PolarCoord(r, theta), OcclusionLevel(levels[occ_idx])))
+            objects.append((r, theta, levels[occ_idx]))
     else:
-        for i in range(cfg.objects_per_scene):
+        for _ in range(cfg.objects_per_scene):
             r = rng.uniform(0.5, grid.max_radius_m * 0.999)
             theta = wrap_angle(rng.uniform(0.0, 2.0 * np.pi))
-            occ = OcclusionLevel(int(rng.choice(cfg.occlusion_levels)))
-            objects.append(GroundTruthObject(i, PolarCoord(r, theta), occ))
+            objects.append((r, theta, int(rng.choice(cfg.occlusion_levels))))
     return objects
 
 
@@ -88,20 +81,20 @@ def synthesize_dataset(cfg: SyntheticDatasetConfig) -> PerceptionDataset:
     for s in range(cfg.n_scenes):
         builder.add_scene(s)
         objects = _place_objects(cfg, rng)
+        ids = list(range(len(objects)))
+        occ = [o for _, _, o in objects]
         if cfg.motion == "constant_velocity":
             headings = rng.uniform(0.0, 2.0 * np.pi, size=len(objects))
             velocities = cfg.speed_mps * np.column_stack([np.cos(headings), np.sin(headings)])
         else:
             velocities = np.zeros((len(objects), 2))
-        positions = np.array([xy_from_polar(o.position) for o in objects])
-        tracks: TrackState = {}
+        positions = np.array([xy_from_polar(PolarCoord(r, theta)) for r, theta, _ in objects])
+        tracks: dict[int, int] = {}
         for _t in range(cfg.frames_per_scene):
-            world = [
-                GroundTruthObject(obj.id, polar_from_xy(x, y), obj.occlusion)
-                for obj, (x, y) in zip(objects, positions)
-            ]
-            perceived, tracks = apply_pem(cfg.true_model, world, tracks, rng)
-            det = [p.position for p in perceived]
+            r, theta = (a.tolist() for a in polar_from_xy_arrays(*positions.T.tolist()))
+            world = list(zip(ids, r, theta, occ))
+            perceived, tracks = perceive(cfg.true_model, world, tracks, rng)
+            det = [(pr, ptheta) for _, pr, ptheta in perceived]
             if len(det) > 1:
                 det = [det[i] for i in rng.permutation(len(det))]
             builder.add_frame(world, det)

@@ -29,11 +29,11 @@ from pemkit import (
     save_dataset,
     serve_in_thread,
     session_rng,
-    step_detection,
     synthesize_dataset,
     wrap_angle,
 )
 from pemkit.client import replay_transcript
+from pemkit.inject import perceive
 from pemkit.matching import brute_force_match
 from pemkit.model import IDENTITY_EMISSION
 from pemkit.cli import EXIT_OK, main
@@ -160,23 +160,21 @@ def test_02_car_limits():
 
 
 def test_03_stationary_detection_grid():
+    # 100 independent chains in one condition, 1,000 frames each, all starting undetected.
     grid = GridSpec()
-    from pemkit import condition_of
-
-    cond = condition_of(PolarCoord(20.0, 0.0), OcclusionLevel.VIS3, grid)
+    world = [(i, 20.0, 0.0, OcclusionLevel.VIS3) for i in range(100)]
     worst = 0.0
     for a01 in (0.1, 0.5, 0.9):
         for a11 in (0.1, 0.5, 0.9):
             model = PemModel.uniform(grid, TransitionMatrix(a01, a11), IDENTITY_EMISSION)
             rng = session_rng(int(1000 * a01 + 100 * a11))
-            v = 0
+            tracks = {}
             hits = 0
-            n = 100_000
-            for _ in range(n):
-                v = step_detection(model, cond, v, rng)
-                hits += v
+            for _ in range(1000):
+                _, tracks = perceive(model, world, tracks, rng)
+                hits += sum(tracks.values())
             expected = a01 / (1.0 + a01 - a11)
-            worst = max(worst, abs(hits / n - expected))
+            worst = max(worst, abs(hits / (100 * 1000) - expected))
     report(3, "stationary detection frequency over 9 parameter pairs", worst <= 0.02, f"worst dev {worst:.4f}")
 
 

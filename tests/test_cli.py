@@ -306,6 +306,58 @@ def test_config_file_provides_defaults(dataset_path, tmp_path):
     }))
     assert main(["--config", str(config), "learn"]) == EXIT_OK
     assert load_model(tmp_path / "m.json").grid == GRID
+    (tmp_path / "m.json").unlink()
+    assert main([f"--config={config}", "learn"]) == EXIT_OK  # the = form is read too
+    assert load_model(tmp_path / "m.json").grid == GRID
+
+
+def test_config_without_path_is_usage_error(capsys):
+    assert main(["learn", "--config"]) == EXIT_USAGE
+    assert "argument --config: expected one argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"id": "TC1", "perception_rate_hz": 0}, "perception_rate_hz must be a positive integer, got 0"),
+        ({"id": "TC1", "tick_rate_hz": 0}, "tick_rate_hz must be a positive integer, got 0"),
+        ({"id": "TC1", "tick_rate_hz": 10.5}, "tick_rate_hz must be a positive integer, got 10.5"),
+    ],
+    ids=["zero-perception-rate", "zero-tick-rate", "fractional-tick-rate"],
+)
+def test_simulate_rejects_bad_scenario_rates(tmp_path, capsys, doc, message):
+    model_path = tmp_path / "m.json"
+    save_model(perfect_model(), model_path)
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "sim"
+    code = main(["simulate", "--scenario", str(scenario), "--model", f"m={model_path}", "--runs", "1",
+                 "--out-dir", str(out)])
+    assert code == EXIT_DATA
+    assert message in capsys.readouterr().err
+    assert not out.exists()  # rejected before any run
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"headway": 2.0}, "unknown key 'headway'"),
+        ([1, 2], "must hold a JSON object"),
+        ({"comfort_accel": "2"}, "comfort_accel must be a number, got '2'"),
+    ],
+    ids=["unknown-key", "not-an-object", "not-a-number"],
+)
+def test_simulate_rejects_bad_policy_file(tmp_path, capsys, doc, message):
+    model_path = tmp_path / "m.json"
+    save_model(perfect_model(), model_path)
+    policy = tmp_path / "policy.json"
+    policy.write_text(json.dumps(doc))
+    out = tmp_path / "sim"
+    code = main(["simulate", "--scenario", "TC1", "--model", f"m={model_path}", "--policy", str(policy),
+                 "--runs", "1", "--out-dir", str(out)])
+    assert code == EXIT_DATA
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_accepts_scenario_config_file(tmp_path):

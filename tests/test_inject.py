@@ -13,12 +13,10 @@ from pemkit import (
     PolarCoord,
     TransitionMatrix,
     apply_pem,
-    condition_of,
     perfect_model,
-    sample_error,
     session_rng,
-    step_detection,
 )
+from pemkit.inject import perceive
 from pemkit.model import IDENTITY_EMISSION
 
 GRID = GridSpec()
@@ -28,63 +26,66 @@ def uniform_model(a01, a11, emission=IDENTITY_EMISSION):
     return PemModel.uniform(GRID, TransitionMatrix(a01, a11), emission)
 
 
-def cond_at(r=20.0, theta=0.0, occ=OcclusionLevel.VIS3):
-    return condition_of(PolarCoord(r, theta), occ, GRID)
+def at_20m(*ids, occ=OcclusionLevel.VIS3):
+    """A plain world of objects 20 m straight ahead, all in one condition."""
+    return [(i, 20.0, 0.0, occ) for i in ids]
 
 
 def test_step_detection_absorbing_states():
     rng = session_rng(1)
-    cond = cond_at()
     always = uniform_model(0.0, 1.0)
     never = uniform_model(0.0, 0.0)
-    assert all(step_detection(always, cond, 1, rng) == 1 for _ in range(100))
-    assert all(step_detection(never, cond, 0, rng) == 0 for _ in range(100))
+    tracks = {0: 1}
+    for _ in range(100):
+        perceived, tracks = perceive(always, at_20m(0), tracks, rng)
+        assert tracks == {0: 1} and len(perceived) == 1
+    tracks = {}
+    for _ in range(100):
+        perceived, tracks = perceive(never, at_20m(0), tracks, rng)
+        assert tracks == {0: 0} and perceived == []
 
 
 def test_step_detection_frequency_from_undetected():
     # From v=0 each step detects with probability a01 = 0.3.
-    model = uniform_model(0.3, 0.9)
-    cond = cond_at()
-    rng = session_rng(7)
-    hits = sum(step_detection(model, cond, 0, rng) for _ in range(100_000))
-    assert hits / 100_000 == pytest.approx(0.3, abs=0.01)
+    n = 100_000
+    _, tracks = perceive(uniform_model(0.3, 0.9), at_20m(*range(n)), {}, session_rng(7))
+    assert sum(tracks.values()) / n == pytest.approx(0.3, abs=0.01)
 
 
 def test_step_detection_stationary_frequency():
     # Long-run frequency of the two-state chain: a01 / (1 + a01 - a11).
     model = uniform_model(0.2, 0.7)
-    cond = cond_at()
     rng = session_rng(3)
-    v = 0
+    tracks = {}
     hits = 0
     n = 100_000
     for _ in range(n):
-        v = step_detection(model, cond, v, rng)
-        hits += v
+        _, tracks = perceive(model, at_20m(0), tracks, rng)
+        hits += tracks[0]
     assert hits / n == pytest.approx(0.2 / (1 + 0.2 - 0.7), abs=0.02)
 
 
+def error_draws(emission, n, seed):
+    """(eps_r, eps_theta) of n detected objects at r = 20 m, theta = 0."""
+    perceived, _ = perceive(uniform_model(1.0, 1.0, emission), at_20m(*range(n)), {}, session_rng(seed))
+    assert len(perceived) == n
+    return np.array([(r / 20.0, theta) for _, r, theta in perceived])
+
+
 def test_sample_error_degenerate_identity():
-    model = uniform_model(1.0, 1.0)
-    eps_r, eps_theta = sample_error(model, cond_at(), session_rng(5))
+    (eps_r, eps_theta), = error_draws(IDENTITY_EMISSION, 1, 5)
     assert eps_r == pytest.approx(1.0, abs=1e-9)
     assert eps_theta == pytest.approx(0.0, abs=1e-9)
 
 
 def test_sample_error_means():
-    model = uniform_model(1.0, 1.0, ErrorDistribution(1.1, 0.05, 0.1, 0.02, 0.0))
-    rng = session_rng(11)
-    cond = cond_at()
-    draws = np.array([sample_error(model, cond, rng) for _ in range(100_000)])
+    draws = error_draws(ErrorDistribution(1.1, 0.05, 0.1, 0.02, 0.0), 100_000, 11)
     assert draws[:, 0].mean() == pytest.approx(1.1, abs=0.005)
     assert draws[:, 1].mean() == pytest.approx(0.05, abs=0.005)
 
 
 def test_sample_error_correlation():
-    model = uniform_model(1.0, 1.0, ErrorDistribution(1.0, 0.0, 0.1, 0.05, 0.8))
-    rng = session_rng(13)
-    cond = cond_at()
-    draws = np.array([sample_error(model, cond, rng) for _ in range(100_000)])
+    draws = error_draws(ErrorDistribution(1.0, 0.0, 0.1, 0.05, 0.8), 100_000, 13)
     corr = np.corrcoef(draws[:, 0], draws[:, 1])[0, 1]
     assert corr == pytest.approx(0.8, abs=0.02)
     assert draws[:, 0].std(ddof=1) == pytest.approx(0.1, rel=0.02)
