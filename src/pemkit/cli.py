@@ -12,6 +12,7 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import signal
 import sys
 import threading
@@ -27,6 +28,7 @@ from .model import ModelFormatError, PARAM_NAMES, load_model, save_model, statio
 from .protocol import DEFAULT_PORT
 from .server import PemServer
 from .sim import (
+    CellPlan,
     ExperimentReport,
     GroundTruthSource,
     ModelSource,
@@ -35,9 +37,10 @@ from .sim import (
     make_scenario,
     merge_reports,
     render_table,
-    run_experiment,
+    run_cells,
     save_runlog,
 )
+from .sim import run_experiment  # noqa: F401  kept resolvable: perfbench wraps cli.run_experiment
 from .sim.world import scenario_from_dict
 
 EXIT_OK = 0
@@ -253,33 +256,33 @@ def cmd_simulate(args) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    reports = []
-    aborted_cells = []
+    plans, cell_dirs = [], []
+    for spec in scenarios:
+        cases = [(src, args.runs, False) for src in sources]
+        if args.baseline:
+            cases.append((GroundTruthSource(), args.baseline_runs, True))
+        for source, n_runs, is_baseline in cases:
+            cell_dir = out_dir / f"{source.label}__{spec.scenario_id}"
+            cell_dir.mkdir(parents=True, exist_ok=True)
+            sink = None
+            if args.save_logs:
+                runs_dir = cell_dir / "runs"
+                runs_dir.mkdir(exist_ok=True)
+                sink = lambda seed, log, d=runs_dir: save_runlog(log, d / f"run_{seed:06d}.jsonl")
+            plans.append(CellPlan(spec, source, n_runs, args.seed, policy, is_baseline, sink))
+            cell_dirs.append(cell_dir)
     try:
-        for spec in scenarios:
-            cases = [(src, args.runs, False) for src in sources]
-            if args.baseline:
-                cases.append((GroundTruthSource(), args.baseline_runs, True))
-            for source, n_runs, is_baseline in cases:
-                cell_dir = out_dir / f"{source.label}__{spec.scenario_id}"
-                cell_dir.mkdir(parents=True, exist_ok=True)
-                sink = None
-                if args.save_logs:
-                    runs_dir = cell_dir / "runs"
-                    runs_dir.mkdir(exist_ok=True)
-                    sink = lambda seed, log, d=runs_dir: save_runlog(log, d / f"run_{seed:06d}.jsonl")
-                report = run_experiment(
-                    spec, source, n_runs, args.seed, policy_cfg=policy, baseline=is_baseline, log_sink=sink
-                )
-                (cell_dir / "report.json").write_text(_canonical_json(report.to_dict()), encoding="utf-8")
-                reports.append(report)
-                cell = report.cells[0]
-                if cell.n_aborted:
-                    aborted_cells.append((source.label, spec.scenario_id, cell.n_aborted))
+        reports = run_cells(plans, _usable_cpus() if args.jobs is None else args.jobs)
     finally:
         for source in sources:
             if hasattr(source, "close"):
                 source.close()
+    aborted_cells = []
+    for cell_dir, report in zip(cell_dirs, reports):
+        (cell_dir / "report.json").write_text(_canonical_json(report.to_dict()), encoding="utf-8")
+        cell = report.cells[0]
+        if cell.n_aborted:
+            aborted_cells.append((cell.source_label, cell.scenario_id, cell.n_aborted))
 
     combined = merge_reports(reports)
     (out_dir / "report.json").write_text(_canonical_json(combined.to_dict()), encoding="utf-8")
@@ -309,6 +312,20 @@ def cmd_simulate(args) -> int:
         print(f"partial results written to {out_dir}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: the default ``simulate --jobs``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _parse_server_spec(entry: str) -> tuple[str, int, str]:
@@ -412,6 +429,9 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--policy", help="JSON file with driving-policy constants")
     p.add_argument("--save-logs", action="store_true", help="write per-run JSONL logs")
+    p.add_argument("--jobs", type=_positive_int, default=None,
+                   help="worker processes (default: usable CPUs, capped at the number of runs); "
+                        "outputs do not depend on it")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_simulate)
 

@@ -11,6 +11,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -42,16 +43,24 @@ class PolarCoord:
             raise ValueError(f"theta must lie in (-pi, pi], got {self.theta}")
 
 
+def polar(x: float, y: float) -> tuple[float, float]:
+    """Ego-relative Cartesian (x right, y forward) to plain (r, theta), unchecked."""
+    return math.hypot(x, y), wrap_angle(math.atan2(y, x) - 0.5 * math.pi)
+
+
+def cartesian(r: float, theta: float) -> tuple[float, float]:
+    """Plain polar back to ego-relative Cartesian (x right, y forward)."""
+    return -r * math.sin(theta), r * math.cos(theta)
+
+
 def polar_from_xy(x: float, y: float) -> PolarCoord:
     """Ego-relative Cartesian (x right, y forward) to polar."""
-    r = math.hypot(x, y)
-    theta = wrap_angle(math.atan2(y, x) - 0.5 * math.pi)
-    return PolarCoord(r, theta)
+    return PolarCoord(*polar(x, y))
 
 
 def xy_from_polar(p: PolarCoord) -> tuple[float, float]:
     """Polar back to ego-relative Cartesian (x right, y forward)."""
-    return -p.r * math.sin(p.theta), p.r * math.cos(p.theta)
+    return cartesian(p.r, p.theta)
 
 
 # The array conversions below evaluate the transcendental functions with
@@ -146,6 +155,33 @@ class GridSpec:
     def n_conditions(self) -> int:
         return N_OCCLUSION_LEVELS * self.n_rings * self.n_sectors
 
+    @property
+    def bins(self) -> "GridBins":
+        return GridBins(self.max_radius_m, self.ring_depth_m, self.n_rings, self.sector_width_rad, self.n_sectors)
+
+
+class GridBins(NamedTuple):
+    """A grid's bin edges as plain numbers, computed once for per-object lookups."""
+
+    max_radius_m: float
+    ring_depth_m: float
+    n_rings: int
+    sector_width_rad: float
+    n_sectors: int
+
+    def cell(self, r: float, theta: float) -> tuple[int, int] | None:
+        """(ring, sector) containing a position, or None when r >= max_radius.
+
+        The outer boundary is exclusive. Sector 0 starts at the ego heading
+        and sectors count counterclockwise; the ``min`` calls guard against
+        float edges at max_radius and 2*pi.
+        """
+        if r >= self.max_radius_m:
+            return None
+        ring = min(int(r // self.ring_depth_m), self.n_rings - 1)
+        sector = min(int(theta % TWO_PI // self.sector_width_rad), self.n_sectors - 1)
+        return ring, sector
+
 
 @dataclass(frozen=True, slots=True)
 class Condition:
@@ -163,12 +199,10 @@ class Condition:
 
 def sector_of(theta: float, grid: GridSpec) -> int:
     """Sector index for a bearing; sector 0 starts at the ego heading and counts counterclockwise."""
-    tw = theta % TWO_PI
-    idx = int(tw // grid.sector_width_rad)
-    return min(idx, grid.n_sectors - 1)  # guard against float edge at 2*pi
+    return grid.bins.cell(0.0, theta)[1]
 
 
-def condition_index(occ: int, ring: int, sector: int, grid: GridSpec) -> int:
+def condition_index(occ: int, ring: int, sector: int, grid: GridSpec | GridBins) -> int:
     return occ * (grid.n_rings * grid.n_sectors) + ring * grid.n_sectors + sector
 
 
@@ -188,12 +222,12 @@ def condition_of(position: PolarCoord, occlusion: OcclusionLevel, grid: GridSpec
     The outer boundary is exclusive: an object exactly at max_radius is
     outside the grid.
     """
-    if position.r >= grid.max_radius_m:
+    bins = grid.bins
+    cell = bins.cell(position.r, position.theta)
+    if cell is None:
         return None
-    ring = min(int(position.r // grid.ring_depth_m), grid.n_rings - 1)
-    sector = sector_of(position.theta, grid)
     occ = int(occlusion)
-    return Condition(condition_index(occ, ring, sector, grid), occ, ring, sector)
+    return Condition(condition_index(occ, *cell, bins), occ, *cell)
 
 
 def conditions_of(r: ArrayLike, theta: ArrayLike, occ: ArrayLike, grid: GridSpec) -> np.ndarray:

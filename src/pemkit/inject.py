@@ -20,7 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import OcclusionLevel, PolarCoord, condition_of, polar_from_xy, wrap_angle, xy_from_polar
+from .geometry import (
+    N_OCCLUSION_LEVELS,
+    GridBins,
+    OcclusionLevel,
+    PolarCoord,
+    cartesian,
+    condition_index,
+    polar,
+    wrap_angle,
+)
 from .model import PemModel
 
 # Perceived range is clamped here; a Gaussian radial ratio can go non-positive.
@@ -61,6 +70,20 @@ def session_rng(seed: int, reset_count: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, reset_count]))
 
 
+def _condition(bins: GridBins, r: float, theta: float, occ: int) -> int:
+    """``condition_of(PolarCoord(r, theta), OcclusionLevel(occ), grid)`` as an index, -1 outside the grid.
+
+    Raises what those constructors raise, through them, for a bad position
+    or occlusion level.
+    """
+    if not (r >= 0.0 and -math.pi < theta <= math.pi):
+        PolarCoord(r, theta)  # a NaN range passes this check, as it always has
+    if type(occ) is not int or not 0 <= occ < N_OCCLUSION_LEVELS:
+        occ = int(OcclusionLevel(occ))
+    cell = bins.cell(r, theta)
+    return -1 if cell is None else condition_index(occ, *cell, bins)
+
+
 def perceive(
     model: PemModel,
     world: list[tuple[int, float, float, int]],
@@ -81,24 +104,23 @@ def perceive(
     if len(ids) != len(set(ids)):
         dup = next(i for i, n in Counter(ids).items() if n > 1)  # the repeated id seen first
         raise DuplicateIdError(f"duplicate object id {dup}")
-    grid = model.grid
-    cells = [condition_of(PolarCoord(r, theta), OcclusionLevel(occ), grid) for _, r, theta, occ in world]
+    bins = model.grid_bins
+    cells = [_condition(bins, r, theta, occ) for _, r, theta, occ in world]
+    a01, a11, mu_r, mu_theta, sigma_r, sigma_theta, rho = model.param_lists
 
     perceived: list[tuple[int, float, float]] = []
     new_tracks: dict[int, int] = {}
-    for (oid, r, theta, _), cond in zip(world, cells):
-        if cond is None:
+    for (oid, r, theta, _), i in zip(world, cells):
+        if i < 0:
             new_tracks[oid] = 0
             continue
-        i = cond.index
-        p_detect = model.a11[i] if tracks.get(oid, 0) else model.a01[i]
+        p_detect = a11[i] if tracks.get(oid, 0) else a01[i]
         detected = new_tracks[oid] = 1 if rng.random() < p_detect else 0
         if detected:
-            z = rng.standard_normal(2)
-            rho = model.rho[i]
-            eps_r = float(model.mu_r[i] + model.sigma_r[i] * z[0])
-            z_theta = rho * z[0] + math.sqrt(1.0 - rho * rho) * z[1]
-            eps_theta = float(model.mu_theta[i] + model.sigma_theta[i] * z_theta)
+            z0, z1 = rng.standard_normal(2).tolist()
+            c = rho[i]
+            eps_r = mu_r[i] + sigma_r[i] * z0
+            eps_theta = mu_theta[i] + sigma_theta[i] * (c * z0 + math.sqrt(1.0 - c * c) * z1)
             perceived.append((oid, max(r * eps_r, MIN_PERCEIVED_RANGE_M), wrap_angle(theta + eps_theta)))
     return perceived, new_tracks
 
@@ -138,8 +160,12 @@ class InjectorSession:
         """Perceive one frame of (id, x, y, occ); returns (source_id, x, y) in object order."""
         if self.last_t is not None and t <= self.last_t:
             raise TimeRegressionError(f"frame t {t} not greater than {self.last_t}")
-        polar = [polar_from_xy(x, y) for _, x, y, _ in objects]
-        world = [(obj[0], p.r, p.theta, obj[3]) for obj, p in zip(objects, polar)]
+        world = []
+        for oid, x, y, occ in objects:
+            r, theta = polar(x, y)
+            if theta != theta:  # a NaN coordinate fails here, before the duplicate-id check
+                PolarCoord(r, theta)
+            world.append((oid, r, theta, occ))
         perceived, self.tracks = perceive(self.model, world, self.tracks, self.rng)
         self.last_t = t
-        return [(oid, *xy_from_polar(PolarCoord(r, theta))) for oid, r, theta in perceived]
+        return [(oid, *cartesian(r, theta)) for oid, r, theta in perceived]

@@ -24,10 +24,11 @@ from .runner import (
     run_once,
     save_runlog,
 )
-from .experiment import CellReport, ExperimentReport, merge_reports, render_table, run_experiment
+from .experiment import CellPlan, CellReport, ExperimentReport, merge_reports, render_table, run_cells, run_experiment
 
 __all__ = [
     "ActorState",
+    "CellPlan",
     "CellReport",
     "ExperimentReport",
     "GroundTruthSource",
@@ -49,6 +50,7 @@ __all__ = [
     "perception_metrics",
     "rect_distance",
     "render_table",
+    "run_cells",
     "run_experiment",
     "run_once",
     "save_runlog",

@@ -16,7 +16,7 @@ if TYPE_CHECKING:
 ELIGIBLE_RANGE_M = 100.0
 
 
-def _axis_half_extents(actor: ActorState) -> tuple[float, float] | None:
+def axis_half_extents(actor: ActorState) -> tuple[float, float] | None:
     """(hx, hy) when the heading is a multiple of pi/2, else None."""
     quarter = actor.heading / (0.5 * math.pi)
     k = round(quarter)
@@ -73,12 +73,17 @@ def _corner_ring(actor: ActorState) -> list[tuple[float, float]]:
 
 def rect_distance(a: ActorState, b: ActorState) -> float:
     """Footprint-to-footprint distance between two oriented rectangles; 0 on overlap."""
-    ha = _axis_half_extents(a)
-    hb = _axis_half_extents(b)
+    return footprint_distance(a, axis_half_extents(a), b, axis_half_extents(b))
+
+
+def footprint_distance(
+    a: ActorState, ha: tuple[float, float] | None, b: ActorState, hb: tuple[float, float] | None
+) -> float:
+    """``rect_distance`` given each actor's ``axis_half_extents``, which change only with its heading."""
     if ha is not None and hb is not None:
-        dx = max(0.0, abs(a.x - b.x) - ha[0] - hb[0])
-        dy = max(0.0, abs(a.y - b.y) - ha[1] - hb[1])
-        return math.hypot(dx, dy)
+        dx = abs(a.x - b.x) - ha[0] - hb[0]
+        dy = abs(a.y - b.y) - ha[1] - hb[1]
+        return math.hypot(dx if dx > 0.0 else 0.0, dy if dy > 0.0 else 0.0)  # max(0.0, d), without the call
     ring_a = _corner_ring(a)
     ring_b = _corner_ring(b)
     if _overlap_sat(ring_a, ring_b):

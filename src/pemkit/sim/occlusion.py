@@ -33,11 +33,25 @@ def _angular_interval(viewer_x: float, viewer_y: float, actor: ActorState) -> tu
         if dx * dx + dy * dy < 1e-12:
             return None
         off = wrap_angle(math.atan2(dy, dx) - center)
-        lo = min(lo, off)
-        hi = max(hi, off)
+        if off < lo:  # lo = min(lo, off), hi = max(hi, off)
+            lo = off
+        elif off > hi:
+            hi = off
     if hi - lo >= math.pi:  # viewer effectively inside; interval ill-defined
         return None
     return center + lo, center + hi
+
+
+def visibility(ego: ActorState, actors: list[ActorState]) -> list[tuple[float, float]]:
+    """(center distance, visible fraction) of every actor as the ego sees it past the others.
+
+    Each actor's angular interval and center distance are computed once and
+    shared by every target it may occlude.
+    """
+    views = [_view(ego, actor) for actor in actors]
+    return [
+        (view[1], _visible_fraction(view, views[:i] + views[i + 1 :])) for i, view in enumerate(views)
+    ]
 
 
 def compute_occlusion(
@@ -48,23 +62,29 @@ def compute_occlusion(
     Only actors whose center is strictly nearer to the ego than the target's
     center can occlude. Returns (fraction in [0,1], binned level).
     """
-    interval = _angular_interval(ego.x, ego.y, target)
+    views = [_view(ego, other) for other in others if other is not target and other is not ego]
+    fraction = _visible_fraction(_view(ego, target), views)
+    return fraction, OcclusionLevel.from_fraction(fraction)
+
+
+def _view(ego: ActorState, actor: ActorState) -> tuple[tuple[float, float] | None, float]:
+    """(bearing interval or None, center distance) of an actor seen from the ego."""
+    return _angular_interval(ego.x, ego.y, actor), math.hypot(actor.x - ego.x, actor.y - ego.y)
+
+
+def _visible_fraction(target, others) -> float:
+    """The uncovered share of the target view's interval, given the other actors' views."""
+    interval, d_target = target
     if interval is None:
-        return 1.0, OcclusionLevel.VIS3
+        return 1.0
     ta, tb = interval
     width = tb - ta
     if width <= 1e-12:
-        return 1.0, OcclusionLevel.VIS3
+        return 1.0
 
-    d_target = math.hypot(target.x - ego.x, target.y - ego.y)
     segments: list[tuple[float, float]] = []
-    for other in others:
-        if other is target or other is ego:
-            continue
-        if math.hypot(other.x - ego.x, other.y - ego.y) >= d_target:
-            continue
-        occ = _angular_interval(ego.x, ego.y, other)
-        if occ is None:
+    for occ, d_other in others:
+        if d_other >= d_target or occ is None:
             continue
         oa, ob = occ
         # Shift by whole turns to sit next to the target interval before clipping.
@@ -74,8 +94,7 @@ def compute_occlusion(
             segments.append((lo, hi))
 
     covered = _union_length(segments)
-    fraction = min(max(1.0 - covered / width, 0.0), 1.0)
-    return fraction, OcclusionLevel.from_fraction(fraction)
+    return min(max(1.0 - covered / width, 0.0), 1.0)
 
 
 def _union_length(segments: list[tuple[float, float]]) -> float:

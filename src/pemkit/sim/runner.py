@@ -6,6 +6,9 @@ driving policy reads as they are. Sources: error-free ground truth, a local
 model, and a remote model server. A local ``ModelSource`` opens one
 ``InjectorSession`` per run, the object each server connection drives, so a
 run driven by either is bit-identical given the same model and seed.
+
+``run_once`` tracks the min distance and the perception metrics as the run
+goes, so a batch keeps per-tick rows only for runs whose logs are saved.
 """
 
 from __future__ import annotations
@@ -16,11 +19,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..client import PemClient, RemoteError, ServerGone
+from ..geometry import OcclusionLevel
 from ..inject import InjectorSession
 from ..inject import apply_pem  # noqa: F401  kept resolvable: perfbench wraps runner.apply_pem
 from ..model import PemModel
-from .metrics import rect_distance
-from .occlusion import compute_occlusion
+from .metrics import ELIGIBLE_RANGE_M, axis_half_extents, footprint_distance, perception_metrics
+from .metrics import rect_distance  # noqa: F401  kept resolvable: perfbench wraps runner.rect_distance
+from .occlusion import compute_occlusion  # noqa: F401  kept resolvable: perfbench wraps runner.compute_occlusion
+from .occlusion import visibility
 from .policy import driving_policy
 from .world import ActorState, PolicyConfig, ScenarioSpec
 
@@ -128,6 +134,9 @@ class RunLog:
     end_reason: str = ""
     aborted: bool = False
     abort_reason: str = ""
+    # perception_metrics(log) of a finished run, also when its ticks were not recorded
+    detection_freq: float | None = None
+    max_gap_s: float | None = None
 
     @property
     def primary_obstacle(self) -> str | None:
@@ -157,17 +166,21 @@ def run_once(
     source,
     seed: int,
     policy_cfg: PolicyConfig | None = None,
+    record_ticks: bool = True,
 ) -> RunLog:
     """Integrate one scenario at the tick rate, refreshing perception at the
     perception rate and holding the last perceived world in between.
 
     Deterministic: randomness enters only through the perception source's
     seeded generator. Terminates on collision, on the ego passing the road
-    end, or when the scenario duration elapses.
+    end, or when the scenario duration elapses. The min distance and the
+    perception metrics are computed as the run goes; ``record_ticks=False``
+    skips the per-tick rows, which only a saved or inspected log needs.
     """
     cfg = policy_cfg or PolicyConfig()
     ego = spec.initial_ego()
     actors = spec.fresh_actors()
+    states = [st for st, _ in actors]
     dt = 1.0 / spec.tick_rate_hz
     ticks_per_perception = spec.tick_rate_hz // spec.perception_rate_hz
     n_ticks = int(round(spec.duration_s * spec.tick_rate_hz))
@@ -181,7 +194,7 @@ def run_once(
         ego_dims=(spec.ego_length, spec.ego_width),
         obstacles=[
             {"name": st.name, "kind": st.kind, "length": st.length, "width": st.width}
-            for st, _ in actors
+            for st in states
         ],
         policy=cfg.to_dict(),
     )
@@ -193,6 +206,12 @@ def run_once(
         log.end_reason = "aborted"
         return log
 
+    # perception_metrics reads records keyed by name, where a repeated name holds its last actor.
+    watched = max((i for i, st in enumerate(states) if st.name == log.primary_obstacle), default=-1)
+    eligible = detected = gap = max_gap = 0
+    # The ego never turns; an actor's heading terms are recomputed when its heading changes.
+    ego_extents = axis_half_extents(ego)
+    poses = [_heading_terms(st) for st in states]
     perceived_latest: list[tuple[int, float, float]] = []
     frame_index = 0
     min_dist = math.inf
@@ -204,16 +223,11 @@ def run_once(
 
         record: PerceptionRecord | None = None
         if k % ticks_per_perception == 0:
-            world = []
-            ranges: dict[str, float] = {}
-            visibility: dict[str, float] = {}
-            states = [st for st, _ in actors]
-            for idx, state in enumerate(states):
-                rel_x, rel_y = state.x - ego.x, state.y - ego.y
-                fraction, level = compute_occlusion(ego, state, states)
-                world.append((idx + 1, rel_x, rel_y, int(level)))
-                ranges[state.name] = math.hypot(rel_x, rel_y)
-                visibility[state.name] = fraction
+            views = visibility(ego, states)  # (center range, visible fraction) per actor
+            world = [
+                (idx + 1, st.x - ego.x, st.y - ego.y, int(OcclusionLevel.from_fraction(fraction)))
+                for idx, (st, (_, fraction)) in enumerate(zip(states, views))
+            ]
             try:
                 returned = source.perceive(frame_index, world)
             except PerceptionUnavailable as exc:
@@ -225,29 +239,47 @@ def run_once(
             frame_index += 1
             perceived_latest = [(sid, x, y) for sid, x, y in returned]
             seen = {sid for sid, _, _ in perceived_latest}
-            detected = {state.name: (idx + 1) in seen for idx, state in enumerate(states)}
-            record = PerceptionRecord(
-                perceived=perceived_latest,
-                detected=detected,
-                ranges=ranges,
-                visibility=visibility,
-            )
+            if watched < 0 or views[watched][0] >= ELIGIBLE_RANGE_M:
+                gap = 0  # an ineligible frame breaks a non-detection run
+            else:
+                eligible += 1
+                if watched + 1 in seen:
+                    detected += 1
+                    gap = 0
+                else:
+                    gap += 1
+                    max_gap = max(max_gap, gap)
+            if record_ticks:
+                record = PerceptionRecord(
+                    perceived=perceived_latest,
+                    detected={st.name: (idx + 1) in seen for idx, st in enumerate(states)},
+                    ranges={st.name: rng for st, (rng, _) in zip(states, views)},
+                    visibility={st.name: fraction for st, (_, fraction) in zip(states, views)},
+                )
 
         accel = driving_policy(perceived_latest, ego, cfg)
-        log.ticks.append(
-            TickRow(
-                t=t,
-                ego_x=ego.x,
-                ego_y=ego.y,
-                ego_speed=ego.speed,
-                ego_accel=accel,
-                actors=[(st.x, st.y, st.heading, st.speed) for st, _ in actors],
-                perception=record,
+        if record_ticks:
+            log.ticks.append(
+                TickRow(
+                    t=t,
+                    ego_x=ego.x,
+                    ego_y=ego.y,
+                    ego_speed=ego.speed,
+                    ego_accel=accel,
+                    actors=[(st.x, st.y, st.heading, st.speed) for st in states],
+                    perception=record,
+                )
             )
-        )
 
-        tick_min = min((rect_distance(ego, st) for st, _ in actors), default=math.inf)
-        min_dist = min(min_dist, tick_min)
+        distances = []
+        for j, st in enumerate(states):
+            pose = poses[j]
+            if st.heading != pose[0]:
+                pose = poses[j] = _heading_terms(st)
+            distances.append(footprint_distance(ego, ego_extents, st, pose[1]))
+        tick_min = min(distances, default=math.inf)
+        if tick_min < min_dist:  # min(min_dist, tick_min)
+            min_dist = tick_min
         if tick_min <= 0.0:
             log.collision = True
             end_reason = "collision"
@@ -255,9 +287,9 @@ def run_once(
 
         # Explicit Euler: positions advance with the pre-update speeds.
         ego.y += ego.speed * dt  # ego heading is fixed at +y
-        for state, _ in actors:
-            state.x += state.speed * math.cos(state.heading) * dt
-            state.y += state.speed * math.sin(state.heading) * dt
+        for state, (_, _, cos_h, sin_h) in zip(states, poses):
+            state.x += state.speed * cos_h * dt
+            state.y += state.speed * sin_h * dt
         if accel >= 0.0:
             ego.speed = min(ego.speed + accel * dt, max(spec.ego_cruise_speed, ego.speed))
         else:
@@ -268,7 +300,15 @@ def run_once(
 
     log.end_reason = end_reason
     log.min_distance_m = min_dist
+    if eligible:
+        log.detection_freq = detected / eligible
+        log.max_gap_s = max_gap * (1.0 / spec.perception_rate_hz)
     return log
+
+
+def _heading_terms(actor: ActorState) -> tuple[float, tuple[float, float] | None, float, float]:
+    """(heading, axis half extents, cos, sin): what a tick needs of an actor's heading."""
+    return actor.heading, axis_half_extents(actor), math.cos(actor.heading), math.sin(actor.heading)
 
 
 def save_runlog(log: RunLog, path: str | Path) -> None:
@@ -357,4 +397,6 @@ def load_runlog(path: str | Path) -> RunLog:
             log.abort_reason = doc["abort_reason"]
     if log is None:
         raise ValueError(f"{path} contains no meta line")
+    if log.obstacles and not log.aborted:
+        log.detection_freq, log.max_gap_s = perception_metrics(log)
     return log

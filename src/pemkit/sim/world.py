@@ -45,6 +45,11 @@ class PolicyConfig:
     def __post_init__(self):
         if not (0 < self.comfort_accel <= self.max_decel):
             raise ValueError("need 0 < comfort_accel <= max_decel")
+        # A negative corridor or headway would silently disable braking.
+        for name in ("corridor_half_width_m", "headway_s", "standstill_m"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -131,6 +136,9 @@ class ScenarioSpec:
                 raise ValueError(f"{name} must be a positive integer, got {rate!r}")
         if self.tick_rate_hz % self.perception_rate_hz != 0:
             raise ValueError("perception rate must divide tick rate")
+        # A run of no ticks has no min distance: its report would hold Infinity.
+        if not (math.isfinite(self.duration_s) and round(self.duration_s * self.tick_rate_hz) >= 1):
+            raise ValueError(f"duration_s must be finite and last at least one tick, got {self.duration_s!r}")
 
     def initial_ego(self) -> ActorState:
         return ActorState(
@@ -249,8 +257,8 @@ def make_scenario(scenario_id: str) -> ScenarioSpec:
 def scenario_from_dict(doc: dict) -> ScenarioSpec:
     """Build a test case from a config document: {"id": "TC1", **overrides}.
 
-    Override keys are the corresponding builder's keyword arguments, plus
-    tick_rate_hz / perception_rate_hz.
+    Override keys are the corresponding builder's keyword arguments, each a
+    finite number, plus tick_rate_hz / perception_rate_hz.
     """
     if not isinstance(doc, dict) or "id" not in doc:
         raise ValueError('scenario config must be an object with an "id" field')
@@ -264,5 +272,8 @@ def scenario_from_dict(doc: dict) -> ScenarioSpec:
     unknown = set(kwargs) - allowed
     if unknown:
         raise ValueError(f"unknown scenario options for {scenario_id}: {sorted(unknown)}")
+    for key, value in kwargs.items():
+        if type(value) not in (int, float) or not math.isfinite(value):
+            raise ValueError(f"scenario option {key} must be a finite number, got {value!r}")
     spec = builder(**kwargs)
     return replace(spec, **rates) if rates else spec

@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import shutil
 import signal
 import subprocess
 import sys
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 from pemkit import (
+    ErrorDistribution,
     GridSpec,
     PemClient,
     PemModel,
@@ -23,6 +26,10 @@ from pemkit import (
 from pemkit import SyntheticDatasetConfig
 from pemkit.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from pemkit.model import IDENTITY_EMISSION
+
+# Simulate forks its worker pool; it must never do so beside other threads.
+pytestmark = pytest.mark.usefixtures("no_fork_from_threads")
+
 
 GRID = GridSpec(sector_width_deg=90.0, ring_depth_m=10.0, max_radius_m=20.0)
 
@@ -322,10 +329,17 @@ def test_config_without_path_is_usage_error(capsys):
         ({"id": "TC1", "perception_rate_hz": 0}, "perception_rate_hz must be a positive integer, got 0"),
         ({"id": "TC1", "tick_rate_hz": 0}, "tick_rate_hz must be a positive integer, got 0"),
         ({"id": "TC1", "tick_rate_hz": 10.5}, "tick_rate_hz must be a positive integer, got 10.5"),
+        ({"id": "TC1", "duration_s": -5}, "duration_s must be finite and last at least one tick, got -5"),
+        ({"id": "TC1", "duration_s": 0.01}, "duration_s must be finite and last at least one tick, got 0.01"),
+        ({"id": "TC1", "duration_s": float("inf")}, "scenario option duration_s must be a finite number, got inf"),
+        ({"id": "TC1", "pedestrian_y": "200"}, "scenario option pedestrian_y must be a finite number, got '200'"),
+        ({"id": "TC3", "walk_speed": True}, "scenario option walk_speed must be a finite number, got True"),
     ],
-    ids=["zero-perception-rate", "zero-tick-rate", "fractional-tick-rate"],
+    ids=["zero-perception-rate", "zero-tick-rate", "fractional-tick-rate", "negative-duration",
+         "duration-below-one-tick", "infinite-duration", "string-position", "bool-speed"],
 )
 def test_simulate_rejects_bad_scenario_rates(tmp_path, capsys, doc, message):
+    """Rates, and every other scenario override value, are checked before any run."""
     model_path = tmp_path / "m.json"
     save_model(perfect_model(), model_path)
     scenario = tmp_path / "bad.json"
@@ -344,8 +358,12 @@ def test_simulate_rejects_bad_scenario_rates(tmp_path, capsys, doc, message):
         ({"headway": 2.0}, "unknown key 'headway'"),
         ([1, 2], "must hold a JSON object"),
         ({"comfort_accel": "2"}, "comfort_accel must be a number, got '2'"),
+        ({"corridor_half_width_m": -1.0}, "corridor_half_width_m must be a finite number >= 0, got -1.0"),
+        ({"headway_s": -5}, "headway_s must be a finite number >= 0, got -5"),
+        ({"standstill_m": float("inf")}, "standstill_m must be a finite number >= 0, got inf"),
     ],
-    ids=["unknown-key", "not-an-object", "not-a-number"],
+    ids=["unknown-key", "not-an-object", "not-a-number", "negative-corridor", "negative-headway",
+         "infinite-standstill"],
 )
 def test_simulate_rejects_bad_policy_file(tmp_path, capsys, doc, message):
     model_path = tmp_path / "m.json"
@@ -357,6 +375,81 @@ def test_simulate_rejects_bad_policy_file(tmp_path, capsys, doc, message):
                  "--runs", "1", "--out-dir", str(out)])
     assert code == EXIT_DATA
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def stochastic_model():
+    return PemModel.uniform(
+        GridSpec(), TransitionMatrix(0.5, 0.8), ErrorDistribution(1.02, 0.01, 0.04, 0.02, 0.1), "m"
+    )
+
+
+def test_simulate_outputs_do_not_depend_on_jobs(tmp_path):
+    model_path = tmp_path / "m.json"
+    save_model(stochastic_model(), model_path)
+    out = tmp_path / "sim"
+    args = [
+        "simulate", "--scenario", "TC1", "--scenario", "TC3", "--model", f"m={model_path}", "--baseline",
+        "--runs", "5", "--baseline-runs", "2", "--seed", "11", "--save-logs", "--out-dir", str(out),
+    ]
+    snapshots = []
+    for jobs in (["--jobs", "1"], ["--jobs", "2"], ["--jobs", "3"], []):
+        assert main(args + jobs) == EXIT_OK
+        assert multiprocessing.active_children() == []
+        snapshots.append(snapshot(out))
+        shutil.rmtree(out)
+    assert len(snapshots[0]) == 3 + 4 * 1 + (2 * 5 + 2 * 2)  # manifest, report, table; a report and logs per cell
+    assert all(snap == snapshots[0] for snap in snapshots[1:])
+
+
+def test_simulate_data_error_in_runs_leaves_no_workers(tmp_path, capsys):
+    model_path = tmp_path / "m.json"
+    save_model(perfect_model(), model_path)
+    scenario = tmp_path / "reverse.json"
+    scenario.write_text(json.dumps({"id": "TC1", "cruise_speed": -5.0}))  # fails as each run starts
+    code = main(["simulate", "--scenario", str(scenario), "--model", f"m={model_path}", "--runs", "4",
+                 "--jobs", "2", "--out-dir", str(tmp_path / "sim")])
+    assert code == EXIT_DATA
+    assert "speed must be >= 0" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+
+
+def test_simulate_against_stopped_server_aborts_and_leaves_no_workers(tmp_path, capsys):
+    model_path = tmp_path / "m.json"
+    save_model(perfect_model(), model_path)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pemkit.cli", "serve", "--model", f"m={model_path}", "--port", "0"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        port = int(proc.stdout.readline().rsplit(":", 1)[1])
+        with PemClient("127.0.0.1", port) as client:
+            client.shutdown_server()
+        assert proc.wait(timeout=10) == EXIT_OK
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+        proc.communicate()
+    out = tmp_path / "sim"
+    code = main(["simulate", "--scenario", "TC1", "--server", f"127.0.0.1:{port}:m", "--runs", "3",
+                 "--jobs", "2", "--out-dir", str(out)])
+    assert code == EXIT_IO
+    assert "3 aborted runs" in capsys.readouterr().err
+    assert json.loads((out / "report.json").read_text())["cells"][0]["n_aborted"] == 3
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2", "two"])
+def test_simulate_jobs_must_be_positive(tmp_path, capsys, jobs):
+    model_path = tmp_path / "m.json"
+    save_model(perfect_model(), model_path)
+    out = tmp_path / "sim"
+    code = main(["simulate", "--scenario", "TC1", "--model", f"m={model_path}", "--jobs", jobs,
+                 "--out-dir", str(out)])
+    assert code == EXIT_USAGE
+    assert "--jobs" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,6 +1,10 @@
 import math
+import multiprocessing
+import os
 import subprocess
 import sys
+import threading
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -16,6 +20,7 @@ from pemkit import (
 )
 from pemkit.sim import (
     ActorState,
+    CellPlan,
     GroundTruthSource,
     ModelSource,
     RemoteSource,
@@ -28,11 +33,16 @@ from pemkit.sim import (
     min_distance,
     perception_metrics,
     rect_distance,
+    run_cells,
     run_experiment,
     run_once,
     save_runlog,
 )
 from pemkit.sim.runner import PerceptionRecord, TickRow
+
+
+# Simulate forks its worker pool; it must never do so beside other threads.
+pytestmark = pytest.mark.usefixtures("no_fork_from_threads")
 
 
 def stochastic_model():
@@ -246,6 +256,7 @@ def test_runlog_roundtrip(tmp_path):
     loaded = load_runlog(path)
     assert loaded.ticks == log.ticks
     assert loaded.min_distance_m == log.min_distance_m
+    assert (loaded.detection_freq, loaded.max_gap_s) == (log.detection_freq, log.max_gap_s) != (None, None)
     assert loaded.scenario_id == log.scenario_id
 
 
@@ -364,3 +375,78 @@ def test_scenario_from_config_document(tmp_path):
         scenario_from_dict({"id": "TC2", "lasers": True})
     with pytest.raises(ValueError, match="unknown scenario"):
         scenario_from_dict({"id": "TC9"})
+
+
+# ---------------- batches over worker processes ----------------
+
+
+def plans(log_dir=None):
+    sink = None
+    if log_dir is not None:
+        sink = lambda seed, log: (log_dir / f"{log.scenario_id}_{log.source_label}_{seed}").write_text(str(os.getpid()))
+    model = stochastic_model()
+    return [
+        CellPlan(make_tc1(), ModelSource(model, label="m"), 5, 0, log_sink=sink),
+        CellPlan(make_tc3(), ModelSource(model, label="m"), 4, 7, log_sink=sink),
+        CellPlan(make_tc2(), GroundTruthSource(), 3, 2, baseline=True, log_sink=sink),
+    ]
+
+
+def join_other_threads():
+    """Let server threads of earlier tests finish, so that run_cells may fork."""
+    for thread in threading.enumerate():
+        if thread is not threading.current_thread():
+            thread.join(timeout=10)
+    assert threading.active_count() == 1
+
+
+forks_workers = pytest.mark.skipif(sys.platform != "linux", reason="run_cells forks workers on Linux only")
+
+
+@forks_workers
+def test_run_cells_reports_do_not_depend_on_jobs(tmp_path):
+    expected = [report.to_dict() for report in run_cells(plans(), jobs=1)]
+    assert expected[0] == run_experiment(make_tc1(), ModelSource(stochastic_model(), label="m"), 5, 0).to_dict()
+    join_other_threads()
+    for jobs in (2, 3):
+        log_dir = tmp_path / f"jobs{jobs}"
+        log_dir.mkdir()
+        assert [report.to_dict() for report in run_cells(plans(log_dir), jobs)] == expected
+        assert multiprocessing.active_children() == []
+        pids = {path.read_text() for path in log_dir.iterdir()}
+        assert len(list(log_dir.iterdir())) == 12
+        assert str(os.getpid()) not in pids  # every run went to a worker
+    few = lambda: [CellPlan(make_tc1(), GroundTruthSource(), 3, 4, baseline=True)]
+    assert run_cells(few(), jobs=64)[0].to_dict() == run_cells(few(), jobs=1)[0].to_dict()  # 3 workers at most
+
+
+def test_run_cells_stays_in_process_while_other_threads_run(tmp_path):
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        reports = run_cells(plans(tmp_path), jobs=2)
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert [r.to_dict() for r in reports] == [r.to_dict() for r in run_cells(plans(), jobs=1)]
+    assert {path.read_text() for path in tmp_path.iterdir()} == {str(os.getpid())}
+
+
+@forks_workers
+def test_run_cells_reports_a_dead_worker():
+    def die_at_seed_3(seed, log):
+        if seed == 3:
+            os._exit(9)
+
+    join_other_threads()
+    with pytest.raises(BrokenProcessPool):
+        run_cells([CellPlan(make_tc1(), GroundTruthSource(), 6, 0, log_sink=die_at_seed_3)], jobs=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_run_cells_rejects_bad_jobs_and_runs():
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        run_cells(plans(), jobs=0)
+    with pytest.raises(ValueError, match="n_runs must be >= 1"):
+        CellPlan(make_tc1(), GroundTruthSource(), 0, 0)
