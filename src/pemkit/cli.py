@@ -272,7 +272,7 @@ def cmd_simulate(args) -> int:
             plans.append(CellPlan(spec, source, n_runs, args.seed, policy, is_baseline, sink))
             cell_dirs.append(cell_dir)
     try:
-        reports = run_cells(plans, _usable_cpus() if args.jobs is None else args.jobs)
+        reports = run_cells(plans, _sim_workers())
     finally:
         for source in sources:
             if hasattr(source, "close"):
@@ -314,18 +314,15 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: the default ``simulate --jobs``."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+# On a 2-CPU host, 2 simulate workers ran 2.0x as many runs per second as
+# one; 4 and 8 workers there were slower than 2. Larger hosts were not measured.
+MAX_SIM_WORKERS = 2
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _sim_workers() -> int:
+    """Worker processes for simulate: the CPUs this process may run on, at most MAX_SIM_WORKERS."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(cpus, MAX_SIM_WORKERS)
 
 
 def _parse_server_spec(entry: str) -> tuple[str, int, str]:
@@ -429,9 +426,6 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--policy", help="JSON file with driving-policy constants")
     p.add_argument("--save-logs", action="store_true", help="write per-run JSONL logs")
-    p.add_argument("--jobs", type=_positive_int, default=None,
-                   help="worker processes (default: usable CPUs, capped at the number of runs); "
-                        "outputs do not depend on it")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_simulate)
 

@@ -11,7 +11,6 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -155,33 +154,6 @@ class GridSpec:
     def n_conditions(self) -> int:
         return N_OCCLUSION_LEVELS * self.n_rings * self.n_sectors
 
-    @property
-    def bins(self) -> "GridBins":
-        return GridBins(self.max_radius_m, self.ring_depth_m, self.n_rings, self.sector_width_rad, self.n_sectors)
-
-
-class GridBins(NamedTuple):
-    """A grid's bin edges as plain numbers, computed once for per-object lookups."""
-
-    max_radius_m: float
-    ring_depth_m: float
-    n_rings: int
-    sector_width_rad: float
-    n_sectors: int
-
-    def cell(self, r: float, theta: float) -> tuple[int, int] | None:
-        """(ring, sector) containing a position, or None when r >= max_radius.
-
-        The outer boundary is exclusive. Sector 0 starts at the ego heading
-        and sectors count counterclockwise; the ``min`` calls guard against
-        float edges at max_radius and 2*pi.
-        """
-        if r >= self.max_radius_m:
-            return None
-        ring = min(int(r // self.ring_depth_m), self.n_rings - 1)
-        sector = min(int(theta % TWO_PI // self.sector_width_rad), self.n_sectors - 1)
-        return ring, sector
-
 
 @dataclass(frozen=True, slots=True)
 class Condition:
@@ -199,10 +171,34 @@ class Condition:
 
 def sector_of(theta: float, grid: GridSpec) -> int:
     """Sector index for a bearing; sector 0 starts at the ego heading and counts counterclockwise."""
-    return grid.bins.cell(0.0, theta)[1]
+    return sector_index(theta, grid.sector_width_rad, grid.n_sectors)
 
 
-def condition_index(occ: int, ring: int, sector: int, grid: GridSpec | GridBins) -> int:
+def sector_index(theta: float, sector_width_rad: float, n_sectors: int) -> int:
+    """``sector_of`` on a grid's plain numbers."""
+    return min(int(theta % TWO_PI // sector_width_rad), n_sectors - 1)  # guard against float edge at 2*pi
+
+
+def cell_of(
+    r: float,
+    theta: float,
+    max_radius_m: float,
+    ring_depth_m: float,
+    n_rings: int,
+    sector_width_rad: float,
+    n_sectors: int,
+) -> tuple[int, int] | None:
+    """(ring, sector) containing a position, or None when r >= max_radius, on a grid's plain numbers.
+
+    The one scalar bin lookup: ``condition_of`` calls it, and the injector
+    calls it with the grid's numbers read once per frame.
+    """
+    if r >= max_radius_m:
+        return None
+    return min(int(r // ring_depth_m), n_rings - 1), sector_index(theta, sector_width_rad, n_sectors)
+
+
+def condition_index(occ: int, ring: int, sector: int, grid: GridSpec) -> int:
     return occ * (grid.n_rings * grid.n_sectors) + ring * grid.n_sectors + sector
 
 
@@ -222,12 +218,14 @@ def condition_of(position: PolarCoord, occlusion: OcclusionLevel, grid: GridSpec
     The outer boundary is exclusive: an object exactly at max_radius is
     outside the grid.
     """
-    bins = grid.bins
-    cell = bins.cell(position.r, position.theta)
+    cell = cell_of(
+        position.r, position.theta, grid.max_radius_m, grid.ring_depth_m, grid.n_rings, grid.sector_width_rad,
+        grid.n_sectors,
+    )
     if cell is None:
         return None
     occ = int(occlusion)
-    return Condition(condition_index(occ, *cell, bins), occ, *cell)
+    return Condition(condition_index(occ, *cell, grid), occ, *cell)
 
 
 def conditions_of(r: ArrayLike, theta: ArrayLike, occ: ArrayLike, grid: GridSpec) -> np.ndarray:

@@ -20,17 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    N_OCCLUSION_LEVELS,
-    GridBins,
-    OcclusionLevel,
-    PolarCoord,
-    cartesian,
-    condition_index,
-    polar,
-    wrap_angle,
-)
-from .model import PemModel
+from .geometry import N_OCCLUSION_LEVELS, OcclusionLevel, PolarCoord, cartesian, cell_of, polar, wrap_angle
+from .model import PARAM_NAMES, PemModel
 
 # Perceived range is clamped here; a Gaussian radial ratio can go non-positive.
 MIN_PERCEIVED_RANGE_M = 0.01
@@ -70,18 +61,14 @@ def session_rng(seed: int, reset_count: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, reset_count]))
 
 
-def _condition(bins: GridBins, r: float, theta: float, occ: int) -> int:
-    """``condition_of(PolarCoord(r, theta), OcclusionLevel(occ), grid)`` as an index, -1 outside the grid.
+def param_lists(model: PemModel) -> tuple[list[float], ...]:
+    """The model's parameter arrays as Python lists, in PARAM_NAMES order.
 
-    Raises what those constructors raise, through them, for a bad position
-    or occlusion level.
+    Indexing a list is several times cheaper than indexing an array and
+    gives the same float. The lists are a copy: build them once per session
+    or batch, not per frame.
     """
-    if not (r >= 0.0 and -math.pi < theta <= math.pi):
-        PolarCoord(r, theta)  # a NaN range passes this check, as it always has
-    if type(occ) is not int or not 0 <= occ < N_OCCLUSION_LEVELS:
-        occ = int(OcclusionLevel(occ))
-    cell = bins.cell(r, theta)
-    return -1 if cell is None else condition_index(occ, *cell, bins)
+    return tuple(getattr(model, name).tolist() for name in PARAM_NAMES)
 
 
 def perceive(
@@ -89,6 +76,7 @@ def perceive(
     world: list[tuple[int, float, float, int]],
     tracks: dict[int, int],
     rng: np.random.Generator,
+    params: tuple[list[float], ...] | None = None,
 ) -> tuple[list[tuple[int, float, float]], dict[int, int]]:
     """Process one frame of (id, r, theta, occ): step every object's chain and emit the detected ones.
 
@@ -98,15 +86,25 @@ def perceive(
     world order, plus the new track state, which holds exactly this frame's
     ids. A repeated id raises DuplicateIdError, naming the repeated id that
     appears first, and an invalid position or occlusion level raises
-    ValueError; both before any draw.
+    ValueError; both before any draw. ``params`` is ``param_lists(model)``,
+    built here when not given.
     """
     ids = [obj[0] for obj in world]
     if len(ids) != len(set(ids)):
         dup = next(i for i, n in Counter(ids).items() if n > 1)  # the repeated id seen first
         raise DuplicateIdError(f"duplicate object id {dup}")
-    bins = model.grid_bins
-    cells = [_condition(bins, r, theta, occ) for _, r, theta, occ in world]
-    a01, a11, mu_r, mu_theta, sigma_r, sigma_theta, rho = model.param_lists
+    grid = model.grid
+    n_rings, n_sectors = grid.n_rings, grid.n_sectors
+    bins = (grid.max_radius_m, grid.ring_depth_m, n_rings, grid.sector_width_rad, n_sectors)
+    cells = []  # condition_of(PolarCoord(r, theta), OcclusionLevel(occ), grid) as an index, -1 outside the grid
+    for _, r, theta, occ in world:
+        if not (r >= 0.0 and -math.pi < theta <= math.pi):
+            PolarCoord(r, theta)  # raises PolarCoord's error; a NaN range passes its check
+        if type(occ) is not int or not 0 <= occ < N_OCCLUSION_LEVELS:
+            occ = int(OcclusionLevel(occ))
+        cell = cell_of(r, theta, *bins)
+        cells.append(-1 if cell is None else (occ * n_rings + cell[0]) * n_sectors + cell[1])
+    a01, a11, mu_r, mu_theta, sigma_r, sigma_theta, rho = param_lists(model) if params is None else params
 
     perceived: list[tuple[int, float, float]] = []
     new_tracks: dict[int, int] = {}
@@ -141,10 +139,12 @@ class InjectorSession:
     """One seeded stream of frames through a model, in ego-relative Cartesian coordinates.
 
     A rejected frame (``t`` not increasing, or a repeated id) changes no state and uses no draws.
+    The session reads the model's parameters as they were when it was created.
     """
 
     def __init__(self, model: PemModel, seed: int):
         self.model = model
+        self.params = param_lists(model)
         self.seed = seed
         self.reset_count = -1
         self.reset()
@@ -166,6 +166,6 @@ class InjectorSession:
             if theta != theta:  # a NaN coordinate fails here, before the duplicate-id check
                 PolarCoord(r, theta)
             world.append((oid, r, theta, occ))
-        perceived, self.tracks = perceive(self.model, world, self.tracks, self.rng)
+        perceived, self.tracks = perceive(self.model, world, self.tracks, self.rng, self.params)
         self.last_t = t
         return [(oid, *cartesian(r, theta)) for oid, r, theta in perceived]

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +11,6 @@ import numpy as np
 from .geometry import (
     N_OCCLUSION_LEVELS,
     Condition,
-    GridBins,
     GridSpec,
     condition_from_index,
     condition_index,
@@ -122,22 +120,6 @@ class PemModel:
             and self.metadata == other.metadata
             and all(np.array_equal(getattr(self, n), getattr(other, n)) for n in PARAM_NAMES)
         )
-
-    # The injector reads these two per object. They are built on first use,
-    # once per model, which the class documents as immutable.
-
-    @cached_property
-    def grid_bins(self) -> GridBins:
-        return self.grid.bins
-
-    @cached_property
-    def param_lists(self) -> tuple[list[float], ...]:
-        """The parameter arrays as Python lists in PARAM_NAMES order.
-
-        Indexing a list is several times cheaper than indexing an array and
-        gives the same float.
-        """
-        return tuple(getattr(self, name).tolist() for name in PARAM_NAMES)
 
     def validate(self) -> None:
         n = self.grid.n_conditions

@@ -122,7 +122,10 @@ class CellPlan:
 # Per run: (min distance, detection frequency, max non-detection interval), or None when aborted.
 RunOutcome = tuple[float, float | None, float | None] | None
 
-# Seed chunks per worker and cell: enough to even out runs of unequal length.
+# Seed chunks per worker and cell. Smaller chunks let an idle worker take
+# over the tail of a cell. On a 2-CPU host (TC1-TC3 x 20 seeds), 4 chunks
+# beat 1 in 28 of 40 interleaved runs (median 228 vs 262 ms) in one set,
+# and 1, 2, 4 and 8 chunks tied within their quartiles in another.
 CHUNKS_PER_JOB = 4
 
 
@@ -153,8 +156,8 @@ def run_cells(plans: list[CellPlan], jobs: int = 1) -> list[ExperimentReport]:
     other threads run (a forked child would inherit the locks they hold),
     the chunks run in this process instead.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if type(jobs) is not int or jobs < 1:
+        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     jobs = min(jobs, sum(plan.n_runs for plan in plans))
     tasks = []
     for i, plan in enumerate(plans):

@@ -12,6 +12,14 @@ import math
 from dataclasses import dataclass, replace
 
 
+def is_finite_number(value) -> bool:
+    """True for a number that converts to a finite float; an int such as 10**400 overflows and does not."""
+    try:
+        return math.isfinite(value)
+    except (OverflowError, TypeError):
+        return False
+
+
 @dataclass(slots=True)
 class ActorState:
     """Pose, speed, and footprint of one actor in the world frame."""
@@ -43,12 +51,16 @@ class PolicyConfig:
     standstill_m: float = 2.0
 
     def __post_init__(self):
+        for name in ("comfort_accel", "max_decel"):
+            value = getattr(self, name)
+            if not is_finite_number(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if not (0 < self.comfort_accel <= self.max_decel):
             raise ValueError("need 0 < comfort_accel <= max_decel")
         # A negative corridor or headway would silently disable braking.
         for name in ("corridor_half_width_m", "headway_s", "standstill_m"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
+            if not (is_finite_number(value) and value >= 0):
                 raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
     def to_dict(self) -> dict:
@@ -137,8 +149,9 @@ class ScenarioSpec:
         if self.tick_rate_hz % self.perception_rate_hz != 0:
             raise ValueError("perception rate must divide tick rate")
         # A run of no ticks has no min distance: its report would hold Infinity.
-        if not (math.isfinite(self.duration_s) and round(self.duration_s * self.tick_rate_hz) >= 1):
-            raise ValueError(f"duration_s must be finite and last at least one tick, got {self.duration_s!r}")
+        n_ticks = self.duration_s * self.tick_rate_hz
+        if not (is_finite_number(n_ticks) and round(n_ticks) >= 1):
+            raise ValueError(f"duration_s must last a finite number of ticks, at least one, got {self.duration_s!r}")
 
     def initial_ego(self) -> ActorState:
         return ActorState(
@@ -273,7 +286,7 @@ def scenario_from_dict(doc: dict) -> ScenarioSpec:
     if unknown:
         raise ValueError(f"unknown scenario options for {scenario_id}: {sorted(unknown)}")
     for key, value in kwargs.items():
-        if type(value) not in (int, float) or not math.isfinite(value):
+        if type(value) not in (int, float) or not is_finite_number(value):
             raise ValueError(f"scenario option {key} must be a finite number, got {value!r}")
     spec = builder(**kwargs)
     return replace(spec, **rates) if rates else spec

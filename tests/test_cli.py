@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+import os
 import shutil
 import signal
 import subprocess
@@ -24,6 +25,7 @@ from pemkit import (
     synthesize_dataset,
 )
 from pemkit import SyntheticDatasetConfig
+from pemkit import cli
 from pemkit.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from pemkit.model import IDENTITY_EMISSION
 
@@ -329,14 +331,17 @@ def test_config_without_path_is_usage_error(capsys):
         ({"id": "TC1", "perception_rate_hz": 0}, "perception_rate_hz must be a positive integer, got 0"),
         ({"id": "TC1", "tick_rate_hz": 0}, "tick_rate_hz must be a positive integer, got 0"),
         ({"id": "TC1", "tick_rate_hz": 10.5}, "tick_rate_hz must be a positive integer, got 10.5"),
-        ({"id": "TC1", "duration_s": -5}, "duration_s must be finite and last at least one tick, got -5"),
-        ({"id": "TC1", "duration_s": 0.01}, "duration_s must be finite and last at least one tick, got 0.01"),
+        ({"id": "TC1", "duration_s": -5}, "duration_s must last a finite number of ticks, at least one, got -5"),
+        ({"id": "TC1", "duration_s": 0.01}, "duration_s must last a finite number of ticks, at least one, got 0.01"),
         ({"id": "TC1", "duration_s": float("inf")}, "scenario option duration_s must be a finite number, got inf"),
         ({"id": "TC1", "pedestrian_y": "200"}, "scenario option pedestrian_y must be a finite number, got '200'"),
         ({"id": "TC3", "walk_speed": True}, "scenario option walk_speed must be a finite number, got True"),
+        ({"id": "TC1", "pedestrian_y": 10**400}, "scenario option pedestrian_y must be a finite number, got 1000"),
+        ({"id": "TC1", "duration_s": 1e308}, "duration_s must last a finite number of ticks, at least one, got 1e+308"),
     ],
     ids=["zero-perception-rate", "zero-tick-rate", "fractional-tick-rate", "negative-duration",
-         "duration-below-one-tick", "infinite-duration", "string-position", "bool-speed"],
+         "duration-below-one-tick", "infinite-duration", "string-position", "bool-speed", "overflowing-position",
+         "overflowing-tick-count"],
 )
 def test_simulate_rejects_bad_scenario_rates(tmp_path, capsys, doc, message):
     """Rates, and every other scenario override value, are checked before any run."""
@@ -361,9 +366,12 @@ def test_simulate_rejects_bad_scenario_rates(tmp_path, capsys, doc, message):
         ({"corridor_half_width_m": -1.0}, "corridor_half_width_m must be a finite number >= 0, got -1.0"),
         ({"headway_s": -5}, "headway_s must be a finite number >= 0, got -5"),
         ({"standstill_m": float("inf")}, "standstill_m must be a finite number >= 0, got inf"),
+        ({"headway_s": 10**400}, "headway_s must be a finite number >= 0, got 1000"),
+        ({"max_decel": 10**400}, "max_decel must be a finite number, got 1000"),
+        ({"max_decel": float("inf")}, "max_decel must be a finite number, got inf"),
     ],
     ids=["unknown-key", "not-an-object", "not-a-number", "negative-corridor", "negative-headway",
-         "infinite-standstill"],
+         "infinite-standstill", "overflowing-headway", "overflowing-decel", "infinite-decel"],
 )
 def test_simulate_rejects_bad_policy_file(tmp_path, capsys, doc, message):
     model_path = tmp_path / "m.json"
@@ -384,7 +392,7 @@ def stochastic_model():
     )
 
 
-def test_simulate_outputs_do_not_depend_on_jobs(tmp_path):
+def test_simulate_outputs_do_not_depend_on_workers(tmp_path, monkeypatch):
     model_path = tmp_path / "m.json"
     save_model(stochastic_model(), model_path)
     out = tmp_path / "sim"
@@ -393,8 +401,10 @@ def test_simulate_outputs_do_not_depend_on_jobs(tmp_path):
         "--runs", "5", "--baseline-runs", "2", "--seed", "11", "--save-logs", "--out-dir", str(out),
     ]
     snapshots = []
-    for jobs in (["--jobs", "1"], ["--jobs", "2"], ["--jobs", "3"], []):
-        assert main(args + jobs) == EXIT_OK
+    default = cli._sim_workers
+    for workers in (lambda: 1, lambda: 2, lambda: 3, default):
+        monkeypatch.setattr(cli, "_sim_workers", workers)
+        assert main(args) == EXIT_OK
         assert multiprocessing.active_children() == []
         snapshots.append(snapshot(out))
         shutil.rmtree(out)
@@ -402,19 +412,29 @@ def test_simulate_outputs_do_not_depend_on_jobs(tmp_path):
     assert all(snap == snapshots[0] for snap in snapshots[1:])
 
 
-def test_simulate_data_error_in_runs_leaves_no_workers(tmp_path, capsys):
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity on this platform")
+def test_simulate_workers_follow_cpu_affinity_up_to_the_cap(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
+    assert cli._sim_workers() == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+    assert cli._sim_workers() == cli.MAX_SIM_WORKERS
+
+
+def test_simulate_data_error_in_runs_leaves_no_workers(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_sim_workers", lambda: 2)
     model_path = tmp_path / "m.json"
     save_model(perfect_model(), model_path)
     scenario = tmp_path / "reverse.json"
     scenario.write_text(json.dumps({"id": "TC1", "cruise_speed": -5.0}))  # fails as each run starts
     code = main(["simulate", "--scenario", str(scenario), "--model", f"m={model_path}", "--runs", "4",
-                 "--jobs", "2", "--out-dir", str(tmp_path / "sim")])
+                 "--out-dir", str(tmp_path / "sim")])
     assert code == EXIT_DATA
     assert "speed must be >= 0" in capsys.readouterr().err
     assert multiprocessing.active_children() == []
 
 
-def test_simulate_against_stopped_server_aborts_and_leaves_no_workers(tmp_path, capsys):
+def test_simulate_against_stopped_server_aborts_and_leaves_no_workers(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_sim_workers", lambda: 2)
     model_path = tmp_path / "m.json"
     save_model(perfect_model(), model_path)
     proc = subprocess.Popen(
@@ -434,23 +454,11 @@ def test_simulate_against_stopped_server_aborts_and_leaves_no_workers(tmp_path, 
         proc.communicate()
     out = tmp_path / "sim"
     code = main(["simulate", "--scenario", "TC1", "--server", f"127.0.0.1:{port}:m", "--runs", "3",
-                 "--jobs", "2", "--out-dir", str(out)])
+                 "--out-dir", str(out)])
     assert code == EXIT_IO
     assert "3 aborted runs" in capsys.readouterr().err
     assert json.loads((out / "report.json").read_text())["cells"][0]["n_aborted"] == 3
     assert multiprocessing.active_children() == []
-
-
-@pytest.mark.parametrize("jobs", ["0", "-2", "two"])
-def test_simulate_jobs_must_be_positive(tmp_path, capsys, jobs):
-    model_path = tmp_path / "m.json"
-    save_model(perfect_model(), model_path)
-    out = tmp_path / "sim"
-    code = main(["simulate", "--scenario", "TC1", "--model", f"m={model_path}", "--jobs", jobs,
-                 "--out-dir", str(out)])
-    assert code == EXIT_USAGE
-    assert "--jobs" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_simulate_accepts_scenario_config_file(tmp_path):

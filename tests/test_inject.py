@@ -16,7 +16,7 @@ from pemkit import (
     perfect_model,
     session_rng,
 )
-from pemkit.inject import perceive
+from pemkit.inject import InjectorSession, perceive
 from pemkit.model import IDENTITY_EMISSION
 
 GRID = GridSpec()
@@ -201,3 +201,17 @@ def test_session_rng_rule():
     c = session_rng(42, 1).random(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_session_reads_the_model_as_it_was_when_created():
+    model = uniform_model(1.0, 1.0)
+    before = InjectorSession(model, seed=4)
+    model.a01[:] = 0.0
+    model.a11[:] = 0.0
+    after = InjectorSession(model, seed=4)
+    objects = [(0, 0.0, 20.0, int(OcclusionLevel.VIS3))]
+    assert before.frame(0, objects) == [(0, pytest.approx(0.0, abs=1e-9), pytest.approx(20.0))]
+    assert after.frame(0, objects) == []
+    # perceive without cached lists reads the arrays as they are now.
+    model.a01[:] = 1.0
+    assert perceive(model, at_20m(0), {}, session_rng(4))[1] == {0: 1}

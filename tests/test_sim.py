@@ -446,7 +446,8 @@ def test_run_cells_reports_a_dead_worker():
 
 
 def test_run_cells_rejects_bad_jobs_and_runs():
-    with pytest.raises(ValueError, match="jobs must be >= 1"):
-        run_cells(plans(), jobs=0)
+    for jobs in (0, 2.5, True):
+        with pytest.raises(ValueError, match="jobs must be an integer >= 1"):
+            run_cells(plans(), jobs=jobs)
     with pytest.raises(ValueError, match="n_runs must be >= 1"):
         CellPlan(make_tc1(), GroundTruthSource(), 0, 0)
