@@ -21,6 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .car import CarConvergenceError, CarSpec
+from .checks import require, require_object
 from .dataset import DatasetFormatError, load_dataset
 from .geometry import GridSpec, N_OCCLUSION_LEVELS, condition_index, sector_of
 from .learn import EmptyDatasetError, StageTimes, learn_pem
@@ -62,7 +63,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _canonical_json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def _sha256(path: Path) -> str:
@@ -220,14 +221,7 @@ def _policy_from_file(path: str | None) -> PolicyConfig:
     if path is None:
         return PolicyConfig()
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(doc, dict):
-        raise ValueError(f"policy file {path} must hold a JSON object")
-    known = PolicyConfig.__dataclass_fields__
-    for key, value in doc.items():
-        if key not in known:
-            raise ValueError(f"policy file {path}: unknown key {key!r}; valid: {', '.join(known)}")
-        if type(value) not in (int, float):
-            raise ValueError(f"policy file {path}: {key} must be a number, got {value!r}")
+    require_object(doc, f"policy file {path}", known=PolicyConfig.__dataclass_fields__)
     return PolicyConfig(**doc)
 
 
@@ -330,9 +324,10 @@ def _parse_server_spec(entry: str) -> tuple[str, int, str]:
     if len(parts) != 3:
         raise UsageError(f"--server expects HOST:PORT:MODEL, got {entry!r}")
     try:
-        return parts[0], int(parts[1]), parts[2]
+        port = int(parts[1])
     except ValueError:
         raise UsageError(f"--server port must be an integer, got {parts[1]!r}")
+    return parts[0], require(port, "option server port", int, **_OPTION_BOUNDS["port"]), parts[2]
 
 
 def cmd_report(args) -> int:
@@ -341,7 +336,10 @@ def cmd_report(args) -> int:
         path = Path(run_dir) / "report.json"
         if not path.exists():
             raise FileNotFoundError(f"{run_dir} contains no report.json")
-        reports.append(ExperimentReport.from_dict(json.loads(path.read_text(encoding="utf-8"))))
+        try:
+            reports.append(ExperimentReport.from_dict(json.loads(path.read_text(encoding="utf-8"))))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
     combined = merge_reports(reports)
 
     grids = {json.dumps(c.grid, sort_keys=True) for c in combined.cells if c.grid is not None}
@@ -436,17 +434,37 @@ def build_parser() -> _Parser:
     return parser
 
 
+# Bounds of the numeric options, checked with every option's type before a command starts.
+_OPTION_BOUNDS = {"gate_m": {"above": 0}, "frame_rate_hz": {"above": 0}, "runs": {"at_least": 1},
+                  "baseline_runs": {"at_least": 1}, "seed": {"at_least": 0}, "port": {"at_least": 0, "at_most": 65535}}
+
+
+def _check_options(parser: argparse.ArgumentParser, args) -> None:
+    """Every option of the command holds its type and bounds; argparse converts no --config value."""
+    for action in _subparsers(parser).choices[args.command]._actions:
+        value, name = getattr(args, action.dest, None), f"option {action.dest}"
+        if value is None:  # also --help
+            continue
+        append = isinstance(action, argparse._AppendAction)
+        kind = action.type or (bool if action.nargs == 0 else list if append else str)
+        require(value, name, kind, **_OPTION_BOUNDS.get(action.dest, {}))
+        for i, item in enumerate(value if kind is list else ()):
+            require(item, f"{name}[{i}]", str)
+
+
+def _subparsers(parser: argparse.ArgumentParser) -> argparse._SubParsersAction:
+    return next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+
+
 def _apply_config_defaults(parser: argparse.ArgumentParser, defaults: dict) -> None:
     """Install config values as defaults, including into subparsers, and stop
     argparse from demanding options the config already provides."""
     parser.set_defaults(**defaults)
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                sub.set_defaults(**defaults)
-                for sub_action in sub._actions:
-                    if sub_action.dest in defaults:
-                        sub_action.required = False
+    for sub in _subparsers(parser).choices.values():
+        sub.set_defaults(**defaults)
+        for sub_action in sub._actions:
+            if sub_action.dest in defaults:
+                sub_action.required = False
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -458,10 +476,9 @@ def main(argv: list[str] | None = None) -> int:
         config_path = pre.parse_known_args(argv)[0].config
         if config_path is not None:
             defaults = json.loads(Path(config_path).read_text(encoding="utf-8"))
-            if not isinstance(defaults, dict):
-                raise UsageError("--config file must hold a JSON object")
-            _apply_config_defaults(parser, defaults)
+            _apply_config_defaults(parser, require_object(defaults, f"--config file {config_path}"))
         args = parser.parse_args(argv)
+        _check_options(parser, args)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

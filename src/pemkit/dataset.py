@@ -10,9 +10,7 @@ is a ``DatasetFormatError`` naming its line:
 
 - ``scene``, ``t``, ``id`` and ``occ`` must be JSON integers (``3.7``, ``"5"``
   and ``true`` are rejected, not truncated) that fit in 64 bits, and ``occ``
-  an ``OcclusionLevel``; coordinates go through ``float()``.
-- Coordinates must be finite: ``NaN``, ``Infinity`` and overflowing literals
-  such as ``1e999`` are rejected.
+  an ``OcclusionLevel``; coordinates must be numbers (see ``checks``).
 - ``t`` must strictly increase within a scene. Rows of different scenes may
   interleave. A gap in ``t`` breaks every track: no detection-state
   transition is counted across it.
@@ -33,13 +31,13 @@ never one Python object per position.
 from __future__ import annotations
 
 import json
-import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .checks import require_each
 from .geometry import (
     N_OCCLUSION_LEVELS,
     OcclusionLevel,
@@ -217,12 +215,9 @@ def save_dataset(dataset: PerceptionDataset, path: str | Path) -> None:
                 fh.write(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def _check_values(scene_id, t, ids: list, occ: list, coords: tuple[list[float], ...]) -> None:
-    """Per-row value rules: exact ``int`` fields (not bool), 64-bit integers, valid levels, finite coordinates."""
-    for name, values in (("scene", (scene_id,)), ("t", (t,)), ("id", ids), ("occ", occ)):
-        if not {int}.issuperset(map(type, values)):
-            bad = next(v for v in values if type(v) is not int)
-            raise ValueError(f"{name} must be an integer, got {bad!r}")
+def _check_values(scene_id, t, ids: list, occ: list, coords: tuple[list, ...]) -> None:
+    """Per-row value rules: integer fields, 64-bit integers, valid levels, finite coordinates."""
+    require_each({"scene": (scene_id,), "t": (t,), "id": ids, "occ": occ}, int)
     ints = [scene_id, t, *ids]
     if min(ints) < _INT64_MIN or max(ints) > _INT64_MAX:
         bad = next(v for v in ints if not _INT64_MIN <= v <= _INT64_MAX)
@@ -230,12 +225,7 @@ def _check_values(scene_id, t, ids: list, occ: list, coords: tuple[list[float], 
     if occ and (min(occ) < 0 or max(occ) >= N_OCCLUSION_LEVELS):
         bad = next(o for o in occ if not 0 <= o < N_OCCLUSION_LEVELS)
         raise ValueError(f"{bad} is not a valid {OcclusionLevel.__name__}")
-    # One sum per row is the fast path; it can overflow on finite values, so
-    # only a per-value check decides.
-    if not math.isfinite(sum(map(sum, coords))):
-        for v in (v for values in coords for v in values):
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite coordinate {v}")
+    require_each(dict(zip(("gt.x", "gt.y", "det.x", "det.y"), coords)), float)
 
 
 def _regroup(offsets: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -273,16 +263,16 @@ def load_dataset(path: str | Path, frame_rate_hz: float = 2.0) -> PerceptionData
                 gt = row["gt"]
                 det = row["det"]
                 ids = [entry["id"] for entry in gt]
-                gx = [float(entry["x"]) for entry in gt]
-                gy = [float(entry["y"]) for entry in gt]
+                gx = [entry["x"] for entry in gt]
+                gy = [entry["y"] for entry in gt]
                 occ = [entry["occ"] for entry in gt]
-                dx = [float(entry["x"]) for entry in det]
-                dy = [float(entry["y"]) for entry in det]
+                dx = [entry["x"] for entry in det]
+                dy = [entry["y"] for entry in det]
                 _check_values(scene_id, t, ids, occ, (gx, gy, dx, dy))
                 prev = last_t.get(scene_id)
                 if prev is not None and t <= prev:
                     raise ValueError(f"t {t} does not increase on t {prev} of scene {scene_id}")
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise DatasetFormatError(f"line {lineno}: {exc}") from exc
             last_t[scene_id] = t
             scene_of_row.append(scene_id)

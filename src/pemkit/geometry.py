@@ -15,6 +15,8 @@ from enum import IntEnum
 import numpy as np
 from numpy.typing import ArrayLike
 
+from .checks import require
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -113,6 +115,9 @@ class OcclusionLevel(IntEnum):
 
 N_OCCLUSION_LEVELS = 4
 
+# Seven float arrays of 10**6 conditions take 56 MB; a 5 deg x 1 m x 100 m grid has 28,800.
+MAX_CONDITIONS = 10**6
+
 
 @dataclass(frozen=True, slots=True)
 class GridSpec:
@@ -127,12 +132,14 @@ class GridSpec:
     max_radius_m: float = 100.0
 
     def __post_init__(self):
-        if self.sector_width_deg <= 0 or self.ring_depth_m <= 0 or self.max_radius_m <= 0:
-            raise ValueError("grid dimensions must be positive")
+        for name in ("sector_width_deg", "ring_depth_m", "max_radius_m"):
+            require(getattr(self, name), name, float, above=0)
         ns = 360.0 / self.sector_width_deg
+        nr = self.max_radius_m / self.ring_depth_m
+        if not N_OCCLUSION_LEVELS * ns * nr < MAX_CONDITIONS + 0.5:  # also when it overflows to inf
+            raise ValueError(f"grid has {N_OCCLUSION_LEVELS * ns * nr:.4g} conditions, more than {MAX_CONDITIONS}")
         if abs(ns - round(ns)) > 1e-9 or round(ns) < 1:
             raise ValueError(f"sector_width_deg must divide 360 evenly, got {self.sector_width_deg}")
-        nr = self.max_radius_m / self.ring_depth_m
         if abs(nr - round(nr)) > 1e-9 or round(nr) < 1:
             raise ValueError(
                 f"max_radius_m must be an integer multiple of ring_depth_m, got {self.max_radius_m}/{self.ring_depth_m}"

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .checks import require_object
 from .geometry import (
     N_OCCLUSION_LEVELS,
     Condition,
@@ -206,19 +207,6 @@ def never_detect_model(grid: GridSpec | None = None, metadata: str = "never-dete
     return PemModel.uniform(grid or GridSpec(), TransitionMatrix(0.0, 0.0), IDENTITY_EMISSION, metadata)
 
 
-def _require(doc: dict, key: str, kind, where: str):
-    if key not in doc:
-        raise ModelFormatError(f"missing field: {where}{key}")
-    value = doc[key]
-    if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ModelFormatError(f"field {where}{key} must be a number, got {type(value).__name__}")
-        return float(value)
-    if not isinstance(value, kind):
-        raise ModelFormatError(f"field {where}{key} must be {kind.__name__}, got {type(value).__name__}")
-    return value
-
-
 def model_to_dict(model: PemModel) -> dict:
     conditions = []
     for index in range(model.n_conditions):
@@ -229,51 +217,40 @@ def model_to_dict(model: PemModel) -> dict:
         conditions.append(entry)
     return {
         "metadata": model.metadata,
-        "grid": {
-            "sector_width_deg": model.grid.sector_width_deg,
-            "ring_depth_m": model.grid.ring_depth_m,
-            "max_radius_m": model.grid.max_radius_m,
-        },
+        "grid": asdict(model.grid),
         "conditions": conditions,
     }
 
 
+_GRID_KEYS = tuple(GridSpec.__dataclass_fields__)  # as model_to_dict writes them
+_CELL_KEYS = ("occ", "ring", "sector")
+_CELL_FIELDS = {**dict.fromkeys(_CELL_KEYS, int), **dict.fromkeys(PARAM_NAMES, float)}
+
+
 def model_from_dict(doc: dict) -> PemModel:
-    if not isinstance(doc, dict):
-        raise ModelFormatError("model document must be a JSON object")
-    metadata = _require(doc, "metadata", str, "")
-    grid_doc = _require(doc, "grid", dict, "")
     try:
-        grid = GridSpec(
-            sector_width_deg=_require(grid_doc, "sector_width_deg", float, "grid."),
-            ring_depth_m=_require(grid_doc, "ring_depth_m", float, "grid."),
-            max_radius_m=_require(grid_doc, "max_radius_m", float, "grid."),
-        )
-    except ValueError as exc:
+        require_object(doc, "", {"metadata": str, "grid": dict, "conditions": list})
+        grid_doc = require_object(doc["grid"], "grid", dict.fromkeys(_GRID_KEYS, float))
+        grid = GridSpec(**{key: float(grid_doc[key]) for key in _GRID_KEYS})
+        n = grid.n_conditions
+        arrays = {name: np.full(n, np.nan) for name in PARAM_NAMES}
+        seen = np.zeros(n, dtype=bool)
+        for pos, entry in enumerate(doc["conditions"]):
+            occ, ring, sector = map(require_object(entry, f"conditions[{pos}]", _CELL_FIELDS).get, _CELL_KEYS)
+            if not (0 <= occ < N_OCCLUSION_LEVELS and 0 <= ring < grid.n_rings and 0 <= sector < grid.n_sectors):
+                raise ValueError(f"conditions[{pos}]: cell ({occ},{ring},{sector}) outside grid")
+            index = condition_index(occ, ring, sector, grid)
+            if seen[index]:
+                raise ValueError(f"conditions[{pos}]: duplicate cell ({occ},{ring},{sector})")
+            seen[index] = True
+            for name in PARAM_NAMES:
+                arrays[name][index] = entry[name]
+        if not seen.all():
+            missing = int(np.argmax(~seen))
+            raise ValueError(f"conditions not exhaustive: index {missing} missing ({n - int(seen.sum())} absent)")
+        return PemModel(grid=grid, metadata=doc["metadata"], **arrays)
+    except ValueError as exc:  # ModelFormatError from PemModel.validate included
         raise ModelFormatError(str(exc)) from exc
-    conditions = _require(doc, "conditions", list, "")
-    n = grid.n_conditions
-    arrays = {name: np.full(n, np.nan) for name in PARAM_NAMES}
-    seen = np.zeros(n, dtype=bool)
-    for pos, entry in enumerate(conditions):
-        where = f"conditions[{pos}]."
-        if not isinstance(entry, dict):
-            raise ModelFormatError(f"conditions[{pos}] must be an object")
-        occ = int(_require(entry, "occ", float, where))
-        ring = int(_require(entry, "ring", float, where))
-        sector = int(_require(entry, "sector", float, where))
-        if not (0 <= occ < N_OCCLUSION_LEVELS and 0 <= ring < grid.n_rings and 0 <= sector < grid.n_sectors):
-            raise ModelFormatError(f"conditions[{pos}]: cell ({occ},{ring},{sector}) outside grid")
-        index = condition_index(occ, ring, sector, grid)
-        if seen[index]:
-            raise ModelFormatError(f"conditions[{pos}]: duplicate cell ({occ},{ring},{sector})")
-        seen[index] = True
-        for name in PARAM_NAMES:
-            arrays[name][index] = _require(entry, name, float, where)
-    if not seen.all():
-        missing = int(np.argmax(~seen))
-        raise ModelFormatError(f"conditions not exhaustive: index {missing} missing ({n - int(seen.sum())} absent)")
-    return PemModel(grid=grid, metadata=metadata, **arrays)
 
 
 def save_model(model: PemModel, path: str | Path) -> None:

@@ -8,8 +8,8 @@ canonical (sorted keys, no whitespace) so a given reply is byte-stable.
 from __future__ import annotations
 
 import json
-import math
 
+from .checks import is_int, is_number
 from .geometry import N_OCCLUSION_LEVELS
 
 DEFAULT_PORT = 9223
@@ -63,26 +63,6 @@ def _reject_constant(name: str):
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
-def _is_number(v) -> bool:
-    """An int (not bool) or float that converts to a finite float.
-
-    Literals such as 1e999 decode to inf; integers beyond the float range,
-    such as 10**400, decode exactly but overflow on conversion.
-    """
-    if isinstance(v, float):
-        return math.isfinite(v)
-    if not _is_int(v):
-        return False
-    try:
-        return math.isfinite(v)
-    except OverflowError:
-        return False
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def parse_request(line: bytes | str) -> dict:
     """Decode and structurally validate one request line.
 
@@ -106,13 +86,13 @@ def parse_request(line: bytes | str) -> dict:
     if kind == "init":
         if not isinstance(msg.get("model"), str):
             raise ProtocolError(ERR_MALFORMED, "init.model must be a string")
-        if not _is_int(msg.get("seed")) or msg["seed"] < 0:
+        if not is_int(msg.get("seed")) or msg["seed"] < 0:
             raise ProtocolError(ERR_MALFORMED, "init.seed must be a non-negative integer")
-        if not _is_number(msg.get("rate_hz")) or msg["rate_hz"] <= 0:
+        if not is_number(msg.get("rate_hz")) or msg["rate_hz"] <= 0:
             raise ProtocolError(ERR_MALFORMED, "init.rate_hz must be a positive number")
         return msg
     if kind == "frame":
-        if not _is_int(msg.get("t")):
+        if not is_int(msg.get("t")):
             raise ProtocolError(ERR_MALFORMED, "frame.t must be an integer")
         objects = msg.get("objects")
         if not isinstance(objects, list):
@@ -120,11 +100,11 @@ def parse_request(line: bytes | str) -> dict:
         for obj in objects:
             if not isinstance(obj, dict):
                 raise ProtocolError(ERR_MALFORMED, "frame object must be an object")
-            if not _is_int(obj.get("id")):
+            if not is_int(obj.get("id")):
                 raise ProtocolError(ERR_MALFORMED, "frame object id must be an integer")
-            if not _is_number(obj.get("x")) or not _is_number(obj.get("y")):
+            if not is_number(obj.get("x")) or not is_number(obj.get("y")):
                 raise ProtocolError(ERR_MALFORMED, "frame object x and y must be numbers")
-            if not _is_int(obj.get("occ")) or not (0 <= obj["occ"] < N_OCCLUSION_LEVELS):
+            if not is_int(obj.get("occ")) or not (0 <= obj["occ"] < N_OCCLUSION_LEVELS):
                 raise ProtocolError(ERR_MALFORMED, "frame object occ must be an integer in [0,4)")
         return msg
     if kind in ("reset", "shutdown"):

@@ -14,7 +14,9 @@ import sys
 import threading
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+
+from ..checks import require, require_each, require_object
 
 # perfbench wraps experiment.min_distance and experiment.perception_metrics
 from .metrics import min_distance, perception_metrics  # noqa: F401
@@ -71,7 +73,16 @@ class CellReport:
         }
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "CellReport":
+    def from_dict(cls, doc: dict, path: str = "cell") -> "CellReport":
+        require_object(doc, path, _CELL_FIELDS)
+        distances, freqs, gaps = (doc[key] for key in _CELL_RUNS)
+        if not len(distances) == len(freqs) == len(gaps):
+            raise ValueError(f"{path}: {', '.join(_CELL_RUNS)} differ in length")
+        # A run without a primary obstacle has no detection frequency or gap: null.
+        runs = {f"{path}.{key}": [v for v in doc[key] if v is not None or key == _CELL_RUNS[0]] for key in _CELL_RUNS}
+        require_each(runs, float)
+        if doc.get("grid") is not None:
+            require_each({f"{path}.grid": list(require(doc["grid"], f"{path}.grid", dict).values())}, float)
         return cls(
             scenario_id=doc["scenario"],
             source_label=doc["source"],
@@ -86,6 +97,12 @@ class CellReport:
         )
 
 
+# The keys CellReport.from_dict reads, with their JSON types; "grid" is an optional object.
+_CELL_RUNS = ("min_distances_m", "detection_freqs", "max_non_detection_s")
+_CELL_FIELDS = {"scenario": str, "source": str, "baseline": bool, "n_runs": int, "n_aborted": int, "base_seed": int,
+                **dict.fromkeys(_CELL_RUNS, list)}
+
+
 @dataclass(slots=True)
 class ExperimentReport:
     cells: list[CellReport] = field(default_factory=list)
@@ -95,7 +112,8 @@ class ExperimentReport:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentReport":
-        return cls(cells=[CellReport.from_dict(c) for c in doc["cells"]])
+        cells = require_object(doc, "", {"cells": list})["cells"]
+        return cls(cells=[CellReport.from_dict(c, f"cells[{i}]") for i, c in enumerate(cells)])
 
 
 @dataclass(slots=True)
@@ -212,13 +230,7 @@ def _run_adopted_chunk(task: tuple[int, range]) -> list[RunOutcome]:
 def _cell_report(plan: CellPlan, outcomes: list[RunOutcome]) -> CellReport:
     """Aggregate one cell; aborted runs are counted and excluded from the distance bins."""
     model = getattr(plan.source, "model", None)
-    grid_sig = None
-    if model is not None:
-        grid_sig = {
-            "sector_width_deg": model.grid.sector_width_deg,
-            "ring_depth_m": model.grid.ring_depth_m,
-            "max_radius_m": model.grid.max_radius_m,
-        }
+    grid_sig = None if model is None else asdict(model.grid)
     done = [outcome for outcome in outcomes if outcome is not None]
     return CellReport(
         scenario_id=plan.spec.scenario_id,

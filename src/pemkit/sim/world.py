@@ -11,13 +11,7 @@ import inspect
 import math
 from dataclasses import dataclass, replace
 
-
-def is_finite_number(value) -> bool:
-    """True for a number that converts to a finite float; an int such as 10**400 overflows and does not."""
-    try:
-        return math.isfinite(value)
-    except (OverflowError, TypeError):
-        return False
+from ..checks import is_number, require, require_object
 
 
 @dataclass(slots=True)
@@ -52,16 +46,12 @@ class PolicyConfig:
 
     def __post_init__(self):
         for name in ("comfort_accel", "max_decel"):
-            value = getattr(self, name)
-            if not is_finite_number(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+            require(getattr(self, name), name, float)
         if not (0 < self.comfort_accel <= self.max_decel):
             raise ValueError("need 0 < comfort_accel <= max_decel")
         # A negative corridor or headway would silently disable braking.
         for name in ("corridor_half_width_m", "headway_s", "standstill_m"):
-            value = getattr(self, name)
-            if not (is_finite_number(value) and value >= 0):
-                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+            require(getattr(self, name), name, float, at_least=0)
 
     def to_dict(self) -> dict:
         return {
@@ -143,14 +133,12 @@ class ScenarioSpec:
 
     def __post_init__(self):
         for name in ("tick_rate_hz", "perception_rate_hz"):
-            rate = getattr(self, name)
-            if type(rate) is not int or rate < 1:
-                raise ValueError(f"{name} must be a positive integer, got {rate!r}")
+            require(getattr(self, name), name, int, at_least=1)
         if self.tick_rate_hz % self.perception_rate_hz != 0:
             raise ValueError("perception rate must divide tick rate")
         # A run of no ticks has no min distance: its report would hold Infinity.
         n_ticks = self.duration_s * self.tick_rate_hz
-        if not (is_finite_number(n_ticks) and round(n_ticks) >= 1):
+        if not (is_number(n_ticks) and round(n_ticks) >= 1):
             raise ValueError(f"duration_s must last a finite number of ticks, at least one, got {self.duration_s!r}")
 
     def initial_ego(self) -> ActorState:
@@ -261,32 +249,29 @@ _BUILDERS = {"TC1": make_tc1, "TC2": make_tc2, "TC3": make_tc3}
 
 
 def make_scenario(scenario_id: str) -> ScenarioSpec:
-    try:
-        return _BUILDERS[scenario_id.upper()]()
-    except KeyError:
-        raise ValueError(f"unknown scenario {scenario_id!r}; pick one of {sorted(_BUILDERS)}")
+    return scenario_from_dict({"id": scenario_id})
+
+
+# Bounds on the builders' arguments; any other override may be any finite number.
+_OVERRIDE_BOUNDS = {"cruise_speed": {"at_least": 0}, "lead_speed": {"at_least": 0}, "walk_speed": {"above": 0},
+                    "road_length_m": {"above": 0}}
 
 
 def scenario_from_dict(doc: dict) -> ScenarioSpec:
     """Build a test case from a config document: {"id": "TC1", **overrides}.
 
     Override keys are the corresponding builder's keyword arguments, each a
-    finite number, plus tick_rate_hz / perception_rate_hz.
+    finite number within ``_OVERRIDE_BOUNDS``, plus tick_rate_hz / perception_rate_hz.
     """
-    if not isinstance(doc, dict) or "id" not in doc:
-        raise ValueError('scenario config must be an object with an "id" field')
-    scenario_id = str(doc["id"]).upper()
+    require_object(doc, "scenario config", {"id": str})
+    scenario_id = doc["id"].upper()
     if scenario_id not in _BUILDERS:
         raise ValueError(f"unknown scenario {scenario_id!r}; pick one of {sorted(_BUILDERS)}")
     builder = _BUILDERS[scenario_id]
     rates = {k: doc[k] for k in ("tick_rate_hz", "perception_rate_hz") if k in doc}
     kwargs = {k: v for k, v in doc.items() if k not in ("id", "tick_rate_hz", "perception_rate_hz")}
-    allowed = set(inspect.signature(builder).parameters)
-    unknown = set(kwargs) - allowed
-    if unknown:
-        raise ValueError(f"unknown scenario options for {scenario_id}: {sorted(unknown)}")
+    require_object(kwargs, f"scenario {scenario_id}", known=inspect.signature(builder).parameters)
     for key, value in kwargs.items():
-        if type(value) not in (int, float) or not is_finite_number(value):
-            raise ValueError(f"scenario option {key} must be a finite number, got {value!r}")
+        require(value, f"scenario option {key}", float, **_OVERRIDE_BOUNDS.get(key, {}))
     spec = builder(**kwargs)
     return replace(spec, **rates) if rates else spec

@@ -37,10 +37,10 @@ class PartitionStats:
     ``transitions[c, k, l]`` counts observed detection-state moves k -> l for
     objects sitting in condition c at the destination frame. Error samples
     from matched frames are three parallel arrays in insertion order: the
-    condition ``sample_cell`` and the pair ``eps_r``, ``eps_theta``;
-    ``samples`` views them per condition. ``matched``, ``unmatched_gt`` and
-    ``unmatched_det`` total the frame matching outcomes, over every frame and
-    whether or not an object lies inside the grid.
+    condition ``sample_cell`` and the pair ``eps_r``, ``eps_theta``.
+    ``matched``, ``unmatched_gt`` and ``unmatched_det`` total the frame
+    matching outcomes, over every frame and whether or not an object lies
+    inside the grid.
     """
 
     grid: GridSpec

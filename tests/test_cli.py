@@ -28,6 +28,7 @@ from pemkit import SyntheticDatasetConfig
 from pemkit import cli
 from pemkit.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from pemkit.model import IDENTITY_EMISSION
+from pemkit.sim import experiment
 
 # Simulate forks its worker pool; it must never do so beside other threads.
 pytestmark = pytest.mark.usefixtures("no_fork_from_threads")
@@ -328,20 +329,27 @@ def test_config_without_path_is_usage_error(capsys):
 @pytest.mark.parametrize(
     "doc, message",
     [
-        ({"id": "TC1", "perception_rate_hz": 0}, "perception_rate_hz must be a positive integer, got 0"),
-        ({"id": "TC1", "tick_rate_hz": 0}, "tick_rate_hz must be a positive integer, got 0"),
-        ({"id": "TC1", "tick_rate_hz": 10.5}, "tick_rate_hz must be a positive integer, got 10.5"),
+        ({"id": "TC1", "perception_rate_hz": 0}, "perception_rate_hz must be an integer >= 1, got 0"),
+        ({"id": "TC1", "tick_rate_hz": 0}, "tick_rate_hz must be an integer >= 1, got 0"),
+        ({"id": "TC1", "tick_rate_hz": 10.5}, "tick_rate_hz must be an integer >= 1, got 10.5"),
         ({"id": "TC1", "duration_s": -5}, "duration_s must last a finite number of ticks, at least one, got -5"),
         ({"id": "TC1", "duration_s": 0.01}, "duration_s must last a finite number of ticks, at least one, got 0.01"),
         ({"id": "TC1", "duration_s": float("inf")}, "scenario option duration_s must be a finite number, got inf"),
         ({"id": "TC1", "pedestrian_y": "200"}, "scenario option pedestrian_y must be a finite number, got '200'"),
-        ({"id": "TC3", "walk_speed": True}, "scenario option walk_speed must be a finite number, got True"),
+        ({"id": "TC3", "walk_speed": True}, "scenario option walk_speed must be a finite number > 0, got True"),
         ({"id": "TC1", "pedestrian_y": 10**400}, "scenario option pedestrian_y must be a finite number, got 1000"),
         ({"id": "TC1", "duration_s": 1e308}, "duration_s must last a finite number of ticks, at least one, got 1e+308"),
+        ({"id": "TC1", "cruise_speed": -5.0}, "scenario option cruise_speed must be a finite number >= 0, got -5.0"),
+        ({"id": "TC2", "lead_speed": -1}, "scenario option lead_speed must be a finite number >= 0, got -1"),
+        ({"id": "TC3", "walk_speed": 0}, "scenario option walk_speed must be a finite number > 0, got 0"),
+        ({"id": "TC1", "walk_speed": -1.0}, "scenario option walk_speed must be a finite number > 0, got -1.0"),
+        ({"id": "TC2", "road_length_m": 0.0}, "scenario option road_length_m must be a finite number > 0, got 0.0"),
+        ({"id": "TC2", "lasers": 1}, "scenario TC2: unknown key 'lasers'"),
     ],
     ids=["zero-perception-rate", "zero-tick-rate", "fractional-tick-rate", "negative-duration",
          "duration-below-one-tick", "infinite-duration", "string-position", "bool-speed", "overflowing-position",
-         "overflowing-tick-count"],
+         "overflowing-tick-count", "negative-cruise-speed", "negative-lead-speed", "zero-walk-speed",
+         "negative-walk-speed", "zero-road-length", "unknown-option"],
 )
 def test_simulate_rejects_bad_scenario_rates(tmp_path, capsys, doc, message):
     """Rates, and every other scenario override value, are checked before any run."""
@@ -361,8 +369,8 @@ def test_simulate_rejects_bad_scenario_rates(tmp_path, capsys, doc, message):
     "doc, message",
     [
         ({"headway": 2.0}, "unknown key 'headway'"),
-        ([1, 2], "must hold a JSON object"),
-        ({"comfort_accel": "2"}, "comfort_accel must be a number, got '2'"),
+        ([1, 2], "must be an object, got [1, 2]"),
+        ({"comfort_accel": "2"}, "comfort_accel must be a finite number, got '2'"),
         ({"corridor_half_width_m": -1.0}, "corridor_half_width_m must be a finite number >= 0, got -1.0"),
         ({"headway_s": -5}, "headway_s must be a finite number >= 0, got -5"),
         ({"standstill_m": float("inf")}, "standstill_m must be a finite number >= 0, got inf"),
@@ -422,14 +430,20 @@ def test_simulate_workers_follow_cpu_affinity_up_to_the_cap(monkeypatch):
 
 def test_simulate_data_error_in_runs_leaves_no_workers(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "_sim_workers", lambda: 2)
+    run_once = experiment.run_once
+
+    def failing_run_once(spec, source, seed, *args, **kwargs):
+        if seed == 2:
+            raise ValueError(f"run {seed} failed")
+        return run_once(spec, source, seed, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "run_once", failing_run_once)  # the forked workers inherit it
     model_path = tmp_path / "m.json"
     save_model(perfect_model(), model_path)
-    scenario = tmp_path / "reverse.json"
-    scenario.write_text(json.dumps({"id": "TC1", "cruise_speed": -5.0}))  # fails as each run starts
-    code = main(["simulate", "--scenario", str(scenario), "--model", f"m={model_path}", "--runs", "4",
+    code = main(["simulate", "--scenario", "TC1", "--model", f"m={model_path}", "--runs", "4",
                  "--out-dir", str(tmp_path / "sim")])
     assert code == EXIT_DATA
-    assert "speed must be >= 0" in capsys.readouterr().err
+    assert "run 2 failed" in capsys.readouterr().err
     assert multiprocessing.active_children() == []
 
 
@@ -494,3 +508,156 @@ def test_report_flags_mixed_grids(tmp_path, capsys):
     assert "different model grids" in capsys.readouterr().err
     doc = json.loads((rep / "report.json").read_text())
     assert doc["warnings"]
+
+
+def bad_model_doc(edit):
+    from pemkit.model import model_to_dict
+
+    doc = model_to_dict(never_detect_model(GRID))
+    edit(doc)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["conditions"][5].update(sector=1.9), "conditions[5].sector must be an integer, got 1.9"),
+        (lambda d: d["conditions"][0].update(occ=0.0), "conditions[0].occ must be an integer, got 0.0"),
+        (lambda d: d["conditions"][2].update(ring=True), "conditions[2].ring must be an integer, got True"),
+        (lambda d: d["conditions"][3].pop("a11"), "missing field: conditions[3].a11"),
+        (lambda d: d["grid"].update(ring_depth_m=float("inf")), "grid.ring_depth_m must be a finite number, got inf"),
+        (lambda d: d["grid"].update(sector_width_deg=1e-6), "grid has 2.88e+09 conditions, more than 1000000"),
+    ],
+    ids=["fractional-sector", "float-occ", "bool-ring", "missing-field", "infinite-ring-depth", "oversized-grid"],
+)
+def test_model_file_values_are_checked_before_any_output(tmp_path, capsys, edit, message):
+    model_path = tmp_path / "bad.json"
+    model_path.write_text(json.dumps(bad_model_doc(edit)))
+    out = tmp_path / "out"
+    for argv in (["inspect", "--model", str(model_path), "--out-dir", str(out)],
+                 ["simulate", "--scenario", "TC1", "--model", str(model_path), "--runs", "1", "--out-dir", str(out)]):
+        assert main(argv) == EXIT_DATA
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (["--gate-m", "nan"], "option gate_m must be a finite number > 0, got nan"),
+        (["--gate-m", "-1"], "option gate_m must be a finite number > 0, got -1.0"),
+        (["--frame-rate-hz", "0"], "option frame_rate_hz must be a finite number > 0, got 0.0"),
+        (["--frame-rate-hz", "inf"], "option frame_rate_hz must be a finite number > 0, got inf"),
+        (["--sector-deg", "nan"], "option sector_deg must be a finite number, got nan"),
+    ],
+    ids=["nan-gate", "negative-gate", "zero-frame-rate", "infinite-frame-rate", "nan-sector"],
+)
+def test_learn_rejects_bad_options_before_any_output(dataset_path, tmp_path, capsys, options, message):
+    out = tmp_path / "out"
+    code = main(["learn", "--dataset", str(dataset_path), "--out", str(out / "m.json"), *options])
+    assert code == EXIT_DATA
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "options, config, message",
+    [
+        (["--runs", "0"], None, "option runs must be an integer >= 1, got 0"),
+        (["--baseline", "--baseline-runs", "0"], None, "option baseline_runs must be an integer >= 1, got 0"),
+        (["--seed", "-1"], None, "option seed must be an integer >= 0, got -1"),
+        (["--baseline"], {"baseline_runs": 2.5}, "option baseline_runs must be an integer >= 1, got 2.5"),
+        ([], {"seed": 1.5}, "option seed must be an integer >= 0, got 1.5"),
+        ([], {"runs": True}, "option runs must be an integer >= 1, got True"),
+        ([], {"baseline": "yes"}, "option baseline must be true or false, got 'yes'"),
+        ([], {"policy": 1}, "option policy must be a string, got 1"),
+        ([], {"scenario": "TC1"}, "option scenario must be a list, got 'TC1'"),
+        ([], {"scenario": [1]}, "option scenario[0] must be a string, got 1"),
+    ],
+    ids=["zero-runs", "zero-baseline-runs", "negative-seed", "config-fractional-runs", "config-fractional-seed",
+         "config-bool-runs", "config-string-flag", "config-number-path", "config-string-list", "config-number-item"],
+)
+def test_simulate_rejects_bad_options_before_any_output(tmp_path, capsys, options, config, message):
+    model_path = tmp_path / "m.json"
+    save_model(perfect_model(), model_path)
+    argv = ["simulate", "--model", f"m={model_path}", "--out-dir", str(tmp_path / "sim")]
+    if config is None:
+        argv += ["--scenario", "TC1", "--runs", "1", *options]
+    else:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        argv = ["--config", str(tmp_path / "config.json"), *argv, *options]
+        if "scenario" not in config:
+            argv += ["--scenario", "TC1"]
+    assert main(argv) == EXIT_DATA
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
+
+
+@pytest.mark.parametrize("port", ["70000", "-1"])
+def test_serve_rejects_port_out_of_range(tmp_path, capsys, port):
+    model_path = tmp_path / "m.json"
+    save_model(perfect_model(), model_path)
+    assert main(["serve", "--model", str(model_path), "--port", port]) == EXIT_DATA
+    assert f"option port must be an integer in [0, 65535], got {port}" in capsys.readouterr().err
+    out = tmp_path / "sim"
+    code = main(["simulate", "--scenario", "TC1", "--server", f"127.0.0.1:{port}:m", "--runs", "1", "--out-dir", str(out)])
+    assert code == EXIT_DATA
+    assert f"option server port must be an integer in [0, 65535], got {port}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_file_must_hold_an_object(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text("[1]")
+    assert main(["--config", str(config), "learn"]) == EXIT_DATA
+    assert f"--config file {config} must be an object, got [1]" in capsys.readouterr().err
+
+
+def simulated_report(tmp_path) -> dict:
+    model_path = tmp_path / "m.json"
+    save_model(never_detect_model(), model_path)
+    out = tmp_path / "sim"
+    assert main(["simulate", "--scenario", "TC1", "--model", f"m={model_path}", "--runs", "2",
+                 "--out-dir", str(out)]) == EXIT_OK
+    return json.loads((out / "report.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d.clear(), "missing field: cells"),
+        (lambda d: d.update(cells={}), "cells must be a list, got {}"),
+        (lambda d: d["cells"].append(1), "cells[1] must be an object, got 1"),
+        (lambda d: d["cells"][0].pop("source"), "missing field: cells[0].source"),
+        (lambda d: d["cells"][0].update(n_runs="2"), "cells[0].n_runs must be an integer, got '2'"),
+        (lambda d: d["cells"][0].update(baseline=0), "cells[0].baseline must be true or false, got 0"),
+        (lambda d: d["cells"][0]["min_distances_m"].append(None), "cells[0]: min_distances_m, detection_freqs"),
+        (lambda d: d["cells"][0]["min_distances_m"].__setitem__(0, None),
+         "cells[0].min_distances_m must be a finite number, got None"),
+        (lambda d: d["cells"][0].update(grid={"ring_depth_m": "10"}), "cells[0].grid must be a finite number"),
+    ],
+    ids=["empty", "cells-object", "cell-number", "missing-source", "string-runs", "number-baseline",
+         "uneven-runs", "null-distance", "string-grid"],
+)
+def test_report_rejects_bad_report_file_before_any_output(tmp_path, capsys, edit, message):
+    doc = simulated_report(tmp_path)
+    edit(doc)
+    run_dir = tmp_path / "bad"
+    run_dir.mkdir()
+    (run_dir / "report.json").write_text(json.dumps(doc))
+    out = tmp_path / "rep"
+    assert main(["report", "--run-dir", str(run_dir), "--out-dir", str(out)]) == EXIT_DATA
+    assert f"{run_dir / 'report.json'}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_report_of_a_list_is_a_data_error(tmp_path, capsys):
+    (tmp_path / "report.json").write_text("[1]")
+    assert main(["report", "--run-dir", str(tmp_path), "--out-dir", str(tmp_path / "rep")]) == EXIT_DATA
+    assert "report.json: document must be an object, got [1]" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
+
+
+def test_outputs_reject_non_finite_values():
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli._canonical_json({"fraction": float("nan")})

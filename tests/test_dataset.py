@@ -40,7 +40,7 @@ def test_non_finite_coordinates_rejected_with_line(tmp_path, literal, where):
     bad[part][0][key] = "@"
     line = json.dumps(bad).replace('"@"', literal)
     path = write(tmp_path, [row(0), line])
-    with pytest.raises(DatasetFormatError, match=r"^line 2: non-finite coordinate"):
+    with pytest.raises(DatasetFormatError, match=rf"^line 2: {where} must be a finite number, got "):
         load_dataset(path)
 
 

@@ -15,7 +15,7 @@ from pemkit import (
     wrap_angle,
     xy_from_polar,
 )
-from pemkit.geometry import condition_index
+from pemkit.geometry import MAX_CONDITIONS, condition_index
 
 
 @given(st.floats(-1e6, 1e6, allow_nan=False))
@@ -68,6 +68,16 @@ def test_grid_invariants():
         GridSpec(ring_depth_m=7.0, max_radius_m=100.0)
     with pytest.raises(ValueError):
         GridSpec(ring_depth_m=-1.0)
+    with pytest.raises(ValueError, match="must be a finite number > 0, got nan"):
+        GridSpec(ring_depth_m=float("nan"))
+
+
+def test_grid_size_is_capped():
+    assert GridSpec(sector_width_deg=0.36, ring_depth_m=0.4, max_radius_m=100.0).n_conditions == MAX_CONDITIONS
+    with pytest.raises(ValueError, match="grid has 1.44e\\+10 conditions, more than 1000000"):
+        GridSpec(sector_width_deg=1e-6, ring_depth_m=10.0, max_radius_m=100.0)
+    with pytest.raises(ValueError, match="grid has inf conditions"):
+        GridSpec(ring_depth_m=5e-324)
 
 
 def test_condition_of_reference_points():

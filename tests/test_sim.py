@@ -371,7 +371,7 @@ def test_scenario_from_config_document(tmp_path):
     log = run_once(spec, GroundTruthSource(), seed=0)
     assert not log.collision and min_distance(log) >= 1.0
 
-    with pytest.raises(ValueError, match="unknown scenario options"):
+    with pytest.raises(ValueError, match="unknown key 'lasers'"):
         scenario_from_dict({"id": "TC2", "lasers": True})
     with pytest.raises(ValueError, match="unknown scenario"):
         scenario_from_dict({"id": "TC9"})
