@@ -55,8 +55,12 @@ class CarConvergenceError(RuntimeError):
         super().__init__(
             f"CAR fit for {field} did not converge: |grad| = {grad_norm:.3e} after {iterations} iterations"
         )
+        self.field = field
         self.grad_norm = grad_norm
         self.iterations = iterations
+
+    def __reduce__(self):  # a fit on a worker process raises this in the parent
+        return type(self), (self.field, self.grad_norm, self.iterations)
 
 
 def sparse_adjacency(grid: GridSpec) -> sp.csr_array:

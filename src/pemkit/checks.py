@@ -3,7 +3,8 @@
 An integer is an ``int``, never a ``bool`` or ``3.0``; a number is an int or
 float that converts to a finite float (not ``NaN``, ``1e999`` or ``10**400``).
 The raising forms name the value's path, such as ``conditions[5].sector``, in
-a plain ``ValueError`` that each reader turns into its own error.
+a plain ``ValueError`` that each reader turns into its own error. A name that
+becomes part of an output path must be a plain file name (``is_file_name``).
 """
 
 from __future__ import annotations
@@ -23,6 +24,11 @@ def is_number(value) -> bool:
         return (isinstance(value, float) or is_int(value)) and isfinite(value)
     except OverflowError:  # an int beyond the float range
         return False
+
+
+def is_file_name(value: str) -> bool:
+    """``value`` names one entry inside a directory: not empty, ``.`` or ``..``, and free of ``/``, ``\\`` and NUL."""
+    return value not in ("", ".", "..") and not any(c in value for c in "/\\\0")
 
 
 def require(value, path: str, kind: type, at_least=None, above=None, at_most=None):

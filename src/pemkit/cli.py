@@ -12,7 +12,6 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import signal
 import sys
 import threading
@@ -21,11 +20,12 @@ from pathlib import Path
 
 from . import __version__
 from .car import CarConvergenceError, CarSpec
-from .checks import require, require_object
+from .checks import is_file_name, require, require_object
 from .dataset import DatasetFormatError, load_dataset
 from .geometry import GridSpec, N_OCCLUSION_LEVELS, condition_index, sector_of
 from .learn import EmptyDatasetError, StageTimes, learn_pem
 from .model import ModelFormatError, PARAM_NAMES, load_model, save_model, stationary_detection
+from .parallel import usable_workers
 from .protocol import DEFAULT_PORT
 from .server import PemServer
 from .sim import (
@@ -99,11 +99,12 @@ def cmd_learn(args) -> int:
     out_dir = out_model.parent
     grid = _grid_from_args(args)
     timings = StageTimes()
+    jobs = usable_workers()
     with timings.stage("load"):
-        dataset = load_dataset(args.dataset, frame_rate_hz=args.frame_rate_hz)
+        dataset = load_dataset(args.dataset, frame_rate_hz=args.frame_rate_hz, jobs=jobs)
     spec = CarSpec.for_grid(grid, alpha=args.alpha)
     model, diagnostics = learn_pem(
-        dataset, grid, car_spec=spec, gate_m=args.gate_m, metadata=args.label, timings=timings
+        dataset, grid, car_spec=spec, gate_m=args.gate_m, metadata=args.label, timings=timings, jobs=jobs
     )
     out_dir.mkdir(parents=True, exist_ok=True)
     save_model(model, out_model)
@@ -237,9 +238,11 @@ def cmd_simulate(args) -> int:
     policy = _policy_from_file(args.policy)
     models = _parse_model_args(args.model or [])
     sources = [ModelSource(load_model(path), label=name) for name, path in models.items()]
+    for name, source in zip(models, sources):
+        _check_label(source.label, UsageError if name else ValueError)  # no NAME: the model file's metadata
     for entry in args.server or []:
         host, port, name = _parse_server_spec(entry)
-        sources.append(RemoteSource(host, port, name, label=f"remote:{name}"))
+        sources.append(RemoteSource(host, port, name, label=_check_label(f"remote:{name}", UsageError)))
     if not sources and not args.baseline:
         raise UsageError("nothing to simulate: give --model, --server, or --baseline")
     # Each source label names an output directory and a report row; a repeat would overwrite one.
@@ -266,7 +269,7 @@ def cmd_simulate(args) -> int:
             plans.append(CellPlan(spec, source, n_runs, args.seed, policy, is_baseline, sink))
             cell_dirs.append(cell_dir)
     try:
-        reports = run_cells(plans, _sim_workers())
+        reports = run_cells(plans, usable_workers())
     finally:
         for source in sources:
             if hasattr(source, "close"):
@@ -308,15 +311,11 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-# On a 2-CPU host, 2 simulate workers ran 2.0x as many runs per second as
-# one; 4 and 8 workers there were slower than 2. Larger hosts were not measured.
-MAX_SIM_WORKERS = 2
-
-
-def _sim_workers() -> int:
-    """Worker processes for simulate: the CPUs this process may run on, at most MAX_SIM_WORKERS."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return min(cpus, MAX_SIM_WORKERS)
+def _check_label(label: str, error: type[Exception]) -> str:
+    """``label``, if it can be part of an output file name; else ``error``."""
+    if not is_file_name(label):
+        raise error(f"source label must be a plain file name, got {label!r}")
+    return label
 
 
 def _parse_server_spec(entry: str) -> tuple[str, int, str]:

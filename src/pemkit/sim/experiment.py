@@ -8,15 +8,12 @@ seeds are split into chunks, nor on how many processes run the chunks.
 from __future__ import annotations
 
 import math
-import multiprocessing
-import signal
-import sys
-import threading
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
-from ..checks import require, require_each, require_object
+from ..checks import is_file_name, require, require_each, require_object
+from ..parallel import fork_map
 
 # perfbench wraps experiment.min_distance and experiment.perception_metrics
 from .metrics import min_distance, perception_metrics  # noqa: F401
@@ -75,6 +72,9 @@ class CellReport:
     @classmethod
     def from_dict(cls, doc: dict, path: str = "cell") -> "CellReport":
         require_object(doc, path, _CELL_FIELDS)
+        for key in ("scenario", "source"):  # report names its per-run files after them
+            if not is_file_name(doc[key]):
+                raise ValueError(f"{path}.{key} must be a plain file name, got {doc[key]!r}")
         distances, freqs, gaps = (doc[key] for key in _CELL_RUNS)
         if not len(distances) == len(freqs) == len(gaps):
             raise ValueError(f"{path}: {', '.join(_CELL_RUNS)} differ in length")
@@ -167,25 +167,19 @@ def run_cells(plans: list[CellPlan], jobs: int = 1) -> list[ExperimentReport]:
     """One single-cell report per plan, in plan order, the same for every ``jobs``.
 
     With ``jobs`` > 1, capped at the number of runs, the seeds of every cell
-    go in chunks to one pool of that many forked worker processes, and the
-    chunks come back in seed order. The plans reach the workers through the
-    fork, unpickled, so a log sink may be any callable. Off Linux (macOS
-    system libraries are not fork-safe, and Windows has no fork), or while
-    other threads run (a forked child would inherit the locks they hold),
-    the chunks run in this process instead.
+    go in chunks to one pool of that many forked worker processes
+    (``parallel.fork_map``), and the chunks come back in seed order. The
+    plans reach the workers through the fork, unpickled, so a log sink may be
+    any callable.
     """
-    if type(jobs) is not int or jobs < 1:
-        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
+    require(jobs, "jobs", int, at_least=1)
     jobs = min(jobs, sum(plan.n_runs for plan in plans))
     tasks = []
     for i, plan in enumerate(plans):
         size = math.ceil(plan.n_runs / (CHUNKS_PER_JOB * jobs)) if jobs > 1 else plan.n_runs
         seeds = range(plan.base_seed, plan.base_seed + plan.n_runs)
         tasks += [(i, seeds[k : k + size]) for k in range(0, plan.n_runs, size)]
-    if jobs > 1 and sys.platform == "linux" and threading.active_count() == 1:
-        chunks = _run_forked(plans, tasks, jobs)
-    else:
-        chunks = [_run_chunk(plans, task) for task in tasks]
+    chunks = fork_map(partial(_run_chunk, plans), tasks, jobs)
     outcomes: list[list[RunOutcome]] = [[] for _ in plans]
     for (i, _), chunk in zip(tasks, chunks):
         outcomes[i] += chunk
@@ -195,36 +189,6 @@ def run_cells(plans: list[CellPlan], jobs: int = 1) -> list[ExperimentReport]:
 def _run_chunk(plans: list[CellPlan], task: tuple[int, range]) -> list[RunOutcome]:
     i, seeds = task
     return run_seeds(plans[i], seeds)
-
-
-def _run_forked(plans: list[CellPlan], tasks: list[tuple[int, range]], jobs: int) -> list[list[RunOutcome]]:
-    """The chunks' outcomes in task order, from workers that have all exited when this returns or raises.
-
-    The executor forks every worker before it starts its own threads. A
-    worker's exception is raised here; a worker that dies raises
-    BrokenProcessPool rather than leaving its chunk unanswered.
-    """
-    context = multiprocessing.get_context("fork")
-    pool = ProcessPoolExecutor(jobs, mp_context=context, initializer=_adopt_plans, initargs=(plans,))
-    try:
-        return list(pool.map(_run_adopted_chunk, tasks))
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-
-
-_adopted_plans: list[CellPlan] = []  # set only in a pool worker, by _adopt_plans
-
-
-def _adopt_plans(plans: list[CellPlan]) -> None:
-    """Worker set-up: keep the forked copy of the plans; leave Ctrl-C to the parent."""
-    global _adopted_plans
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    _adopted_plans = plans
-
-
-def _run_adopted_chunk(task: tuple[int, range]) -> list[RunOutcome]:
-    return _run_chunk(_adopted_plans, task)
 
 
 def _cell_report(plan: CellPlan, outcomes: list[RunOutcome]) -> CellReport:

@@ -171,31 +171,40 @@ def estimate_mle(stats: PartitionStats) -> dict[str, FieldObservation]:
     """Closed-form per-condition estimates as the smoother's observations.
 
     Returns one ``FieldObservation`` per name in ``FIELD_NAMES``, in that
-    order, of kind ``FIELD_KINDS[name]``. ``a01`` and ``a11`` are transition
-    ratios weighted by their row counts. The error fields are the sample
-    mean, the ddof=1 deviation (floored above zero) and the clamped
-    correlation of (eps_r, eps_theta), weighted by the condition's sample
-    count. Transition rows with no observations are flagged empty, as are
-    deviations with fewer than two samples and correlations with fewer than
-    two samples or a zero deviation. ``scale`` is the pooled within-condition sample
-    deviation for ``mu_r`` and ``mu_theta`` and 1.0 for the other fields.
-    Emptiness is data for the spatial smoother, not an error.
+    order, of kind ``FIELD_KINDS[name]``: ``estimate_transitions`` followed
+    by ``estimate_errors``. Emptiness is data for the spatial smoother, not
+    an error.
     """
-    n = stats.grid.n_conditions
-    values = np.zeros((7, n))
-    weights = np.zeros((7, n))
-    empty = np.ones((7, n), dtype=bool)
+    return {**estimate_transitions(stats), **estimate_errors(stats)}
 
+
+def estimate_transitions(stats: PartitionStats) -> dict[str, FieldObservation]:
+    """``a01`` and ``a11``: transition ratios weighted by their row counts; rows with no observations are empty."""
     row0 = stats.transitions[:, 0, :].sum(axis=1)
     row1 = stats.transitions[:, 1, :].sum(axis=1)
-    has0 = row0 > 0
-    has1 = row1 > 0
-    values[0, has0] = stats.transitions[has0, 0, 1] / row0[has0]
-    values[1, has1] = stats.transitions[has1, 1, 1] / row1[has1]
-    weights[0] = row0
-    weights[1] = row1
-    empty[0] = ~has0
-    empty[1] = ~has1
+    observations = {}
+    for name, k, row in (("a01", 0, row0), ("a11", 1, row1)):
+        has = row > 0
+        values = np.zeros(stats.grid.n_conditions)
+        values[has] = stats.transitions[has, k, 1] / row[has]
+        observations[name] = FieldObservation(FIELD_KINDS[name], values, row.astype(float), ~has, 1.0)
+    return observations
+
+
+def estimate_errors(stats: PartitionStats) -> dict[str, FieldObservation]:
+    """The five error fields, from the samples (eps_r, eps_theta) of each condition.
+
+    They are the sample mean, the ddof=1 deviation (floored above zero) and
+    the clamped correlation, weighted by the condition's sample count.
+    Deviations with fewer than two samples are empty, as are correlations
+    with fewer than two samples or a zero deviation. ``scale`` is the pooled
+    within-condition sample deviation for ``mu_r`` and ``mu_theta`` and 1.0
+    for the other fields.
+    """
+    n = stats.grid.n_conditions
+    values = np.zeros((5, n))
+    weights = np.zeros((5, n))
+    empty = np.ones((5, n), dtype=bool)
 
     pooled_ss = [0.0, 0.0]
     pooled_df = 0
@@ -209,27 +218,26 @@ def estimate_mle(stats: PartitionStats) -> dict[str, FieldObservation]:
             continue
         arr = pairs[bounds[c] : bounds[c + 1]]
         mean = arr.mean(axis=0)
-        values[2, c], values[3, c] = mean
-        weights[2, c] = weights[3, c] = k
-        empty[2, c] = empty[3, c] = False
+        values[0, c], values[1, c] = mean
+        weights[0, c] = weights[1, c] = k
+        empty[0, c] = empty[1, c] = False
         if k >= 2:
             std = arr.std(axis=0, ddof=1)
-            values[4, c] = max(std[0], _SIGMA_FLOOR)
-            values[5, c] = max(std[1], _SIGMA_FLOOR)
-            weights[4, c] = weights[5, c] = k
-            empty[4, c] = empty[5, c] = False
+            values[2, c] = max(std[0], _SIGMA_FLOOR)
+            values[3, c] = max(std[1], _SIGMA_FLOOR)
+            weights[2, c] = weights[3, c] = k
+            empty[2, c] = empty[3, c] = False
             if std[0] > 0.0 and std[1] > 0.0:
                 rho = float(np.corrcoef(arr[:, 0], arr[:, 1])[0, 1])
-                values[6, c] = float(np.clip(rho, -_RHO_CLAMP, _RHO_CLAMP))
-                weights[6, c] = k
-                empty[6, c] = False
+                values[4, c] = float(np.clip(rho, -_RHO_CLAMP, _RHO_CLAMP))
+                weights[4, c] = k
+                empty[4, c] = False
             pooled_ss[0] += float(((arr[:, 0] - mean[0]) ** 2).sum())
             pooled_ss[1] += float(((arr[:, 1] - mean[1]) ** 2).sum())
             pooled_df += k - 1
 
     pooled_sd = [max(np.sqrt(ss / pooled_df if pooled_df > 0 else 0.0), 1e-6) for ss in pooled_ss]
-    scales = [1.0, 1.0, *pooled_sd, 1.0, 1.0, 1.0]
-    return {
-        name: FieldObservation(kind, values[f], weights[f], empty[f], scales[f])
-        for f, (name, kind) in enumerate(FIELD_KINDS.items())
-    }
+    scales = [*pooled_sd, 1.0, 1.0, 1.0]
+    names = FIELD_NAMES[2:]
+    return {name: FieldObservation(FIELD_KINDS[name], values[f], weights[f], empty[f], scales[f])
+            for f, name in enumerate(names)}

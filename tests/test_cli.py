@@ -25,7 +25,7 @@ from pemkit import (
     synthesize_dataset,
 )
 from pemkit import SyntheticDatasetConfig
-from pemkit import cli
+from pemkit import cli, parallel
 from pemkit.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from pemkit.model import IDENTITY_EMISSION
 from pemkit.sim import experiment
@@ -240,6 +240,29 @@ def test_simulate_rejects_repeated_source_labels(tmp_path, capsys, sources, labe
     assert not out.exists()  # rejected before any run
 
 
+@pytest.mark.parametrize(
+    "sources, metadata, code, label",
+    [
+        (["--model", "../escape={p}"], "m", EXIT_USAGE, "../escape"),
+        (["--model", "..={p}"], "m", EXIT_USAGE, ".."),
+        (["--model", "a\\b={p}"], "m", EXIT_USAGE, "a\\b"),
+        (["--model", "a\0b={p}"], "m", EXIT_USAGE, "a\0b"),
+        (["--server", "127.0.0.1:1:../escape"], "m", EXIT_USAGE, "remote:../escape"),
+        (["--model", "={p}"], "../escape", EXIT_DATA, "../escape"),  # no NAME: the model file labels it
+    ],
+    ids=["model-name", "dot-dot", "backslash", "nul", "server-model", "model-metadata"],
+)
+def test_simulate_rejects_labels_that_are_not_file_names(tmp_path, capsys, sources, metadata, code, label):
+    model_path = tmp_path / "models" / "p.json"
+    model_path.parent.mkdir()
+    save_model(perfect_model(metadata=metadata), model_path)
+    out = tmp_path / "models" / "sim"
+    args = [a.format(p=model_path) for a in sources]
+    assert main(["simulate", "--scenario", "TC1", *args, "--runs", "1", "--out-dir", str(out)]) == code
+    assert f"source label must be a plain file name, got {label!r}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["models", "p.json"]  # nothing written
+
+
 def test_simulate_manifest_lists_model_paths(tmp_path):
     save_model(perfect_model(), tmp_path / "p.json")
     save_model(never_detect_model(), tmp_path / "n.json")
@@ -409,9 +432,9 @@ def test_simulate_outputs_do_not_depend_on_workers(tmp_path, monkeypatch):
         "--runs", "5", "--baseline-runs", "2", "--seed", "11", "--save-logs", "--out-dir", str(out),
     ]
     snapshots = []
-    default = cli._sim_workers
+    default = cli.usable_workers
     for workers in (lambda: 1, lambda: 2, lambda: 3, default):
-        monkeypatch.setattr(cli, "_sim_workers", workers)
+        monkeypatch.setattr(cli, "usable_workers", workers)
         assert main(args) == EXIT_OK
         assert multiprocessing.active_children() == []
         snapshots.append(snapshot(out))
@@ -423,13 +446,13 @@ def test_simulate_outputs_do_not_depend_on_workers(tmp_path, monkeypatch):
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity on this platform")
 def test_simulate_workers_follow_cpu_affinity_up_to_the_cap(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
-    assert cli._sim_workers() == 1
+    assert cli.usable_workers() == 1
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
-    assert cli._sim_workers() == cli.MAX_SIM_WORKERS
+    assert cli.usable_workers() == parallel.MAX_WORKERS
 
 
 def test_simulate_data_error_in_runs_leaves_no_workers(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_sim_workers", lambda: 2)
+    monkeypatch.setattr(cli, "usable_workers", lambda: 2)
     run_once = experiment.run_once
 
     def failing_run_once(spec, source, seed, *args, **kwargs):
@@ -448,7 +471,7 @@ def test_simulate_data_error_in_runs_leaves_no_workers(tmp_path, capsys, monkeyp
 
 
 def test_simulate_against_stopped_server_aborts_and_leaves_no_workers(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_sim_workers", lambda: 2)
+    monkeypatch.setattr(cli, "usable_workers", lambda: 2)
     model_path = tmp_path / "m.json"
     save_model(perfect_model(), model_path)
     proc = subprocess.Popen(
@@ -635,9 +658,13 @@ def simulated_report(tmp_path) -> dict:
         (lambda d: d["cells"][0]["min_distances_m"].__setitem__(0, None),
          "cells[0].min_distances_m must be a finite number, got None"),
         (lambda d: d["cells"][0].update(grid={"ring_depth_m": "10"}), "cells[0].grid must be a finite number"),
+        (lambda d: d["cells"][0].update(source="../escape"),
+         "cells[0].source must be a plain file name, got '../escape'"),
+        (lambda d: d["cells"][0].update(scenario=".."), "cells[0].scenario must be a plain file name, got '..'"),
+        (lambda d: d["cells"][0].update(source="a\\b"), "cells[0].source must be a plain file name, got 'a\\\\b'"),
     ],
     ids=["empty", "cells-object", "cell-number", "missing-source", "string-runs", "number-baseline",
-         "uneven-runs", "null-distance", "string-grid"],
+         "uneven-runs", "null-distance", "string-grid", "escaping-source", "dot-dot-scenario", "backslash-source"],
 )
 def test_report_rejects_bad_report_file_before_any_output(tmp_path, capsys, edit, message):
     doc = simulated_report(tmp_path)

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pemkit import cli
-from pemkit.checks import is_int, is_number, require_each
+from pemkit.checks import is_file_name, is_int, is_number, require_each
 from pemkit.dataset import DatasetFormatError, load_dataset
 from pemkit.geometry import GridSpec
 from pemkit.model import ModelFormatError, model_from_dict, model_to_dict, never_detect_model
@@ -192,3 +192,12 @@ def test_batch_checks_agree_with_the_value_rules(values):
         except ValueError:
             accepted = False
         assert accepted == all(map(rule, values))
+
+
+@pytest.mark.parametrize(
+    "name, ok",
+    [("TC1", True), ("remote:m", True), ("..a", True), ("", False), (".", False), ("..", False),
+     ("a/b", False), ("/", False), ("a\\b", False), ("a\0b", False)],
+)
+def test_file_names_name_one_directory_entry(name, ok):
+    assert is_file_name(name) is ok
