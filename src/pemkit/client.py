@@ -7,6 +7,7 @@ import socket
 from pathlib import Path
 
 from . import protocol
+from .checks import require
 
 
 class RemoteError(RuntimeError):
@@ -47,7 +48,7 @@ class PemClient:
         return reply
 
     def request(self, msg: dict) -> dict:
-        reply = json.loads(self.exchange_raw(protocol.encode(msg)))
+        reply = require(json.loads(self.exchange_raw(protocol.encode(msg))), "server reply", dict)
         if reply.get("type") == "error":
             raise RemoteError(reply.get("code", "?"), reply.get("message", ""))
         return reply

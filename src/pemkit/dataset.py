@@ -14,6 +14,8 @@ is a ``DatasetFormatError`` naming its line:
 - ``t`` must strictly increase within a scene. Rows of different scenes may
   interleave. A gap in ``t`` breaks every track: no detection-state
   transition is counted across it.
+- The file is UTF-8; a byte that does not decode is an error of its line.
+  Of several bad lines, the earliest is reported.
 
 In memory a dataset is columnar: flat NumPy arrays for the whole dataset,
 never one Python object per position.
@@ -30,10 +32,8 @@ never one Python object per position.
 
 from __future__ import annotations
 
-import contextlib
-import io
 import json
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -267,25 +267,30 @@ def load_dataset(path: str | Path, frame_rate_hz: float = 2.0, jobs: int = 1) ->
     """Read a JSONL dataset into columns; scenes come out ordered by id, frames in file order.
 
     With ``jobs`` > 1 and a file of at least ``MIN_SHARDED_BYTES``, the text
-    is cut after line ends into one piece per worker, the pieces are parsed
-    on forked workers (``parallel.fork_map``) and joined in file order. The
-    columns, and the error raised for a bad row, are those of the
-    in-process read.
+    is cut after line ends into one piece per worker, parsed on forked
+    workers (``parallel.fork_map``); otherwise it is one piece, parsed
+    in-process. The columns, or the earliest bad line's error, are the same.
     """
     require(jobs, "jobs", int, at_least=1)
-    path = Path(path)
-    text = None
-    if jobs > 1 and path.stat().st_size >= MIN_SHARDED_BYTES:
-        # Universal newlines, as when iterating the file. A file that does not
-        # decode is read in-process, which raises the error where that read meets it.
-        with contextlib.suppress(UnicodeDecodeError):
-            text = path.read_text(encoding="utf-8")
-    if text is None:
-        with path.open("r", encoding="utf-8") as fh:
-            pieces = [_parse_rows(fh, 1)]
-    else:
-        pieces = fork_map(partial(_parse_piece, text), _line_pieces(text, jobs), jobs)
-    return _join_rows(pieces, frame_rate_hz)
+    data = Path(path).read_bytes()
+    parts = jobs if len(data) >= MIN_SHARDED_BYTES else 1
+    text, decode_error = _decode(data)
+    del data  # only the text is held while the pieces are parsed
+    pieces = fork_map(partial(_parse_rows, text), _line_pieces(text, parts), jobs)
+    del text
+    return _join_rows(pieces, decode_error, frame_rate_hz)
+
+
+def _decode(data: bytes) -> tuple[str, tuple[int, str] | None]:
+    """UTF-8 ``data`` with universal newlines, cut before the line of an undecodable byte, and that line's error."""
+    try:
+        text, reason = data.decode("utf-8"), None
+    except UnicodeDecodeError as exc:
+        text, reason = data[: exc.start].decode("utf-8"), exc.reason
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    if reason is None:
+        return text, None
+    return text[: text.rfind("\n") + 1], (text.count("\n") + 1, f"not valid UTF-8: {reason}")
 
 
 def _line_pieces(text: str, parts: int) -> list[tuple[int, int, int]]:
@@ -307,29 +312,18 @@ def _line_pieces(text: str, parts: int) -> list[tuple[int, int, int]]:
     return list(zip(cuts, cuts[1:], first_lines))
 
 
-@dataclass(slots=True)
-class _Rows:
-    """The rows of one piece of a dataset file, up to its first bad row.
-
-    ``firsts`` holds (line, scene, t) of each scene's first row in the piece,
-    which only the rows of earlier pieces can make a ``t`` regression, and
-    ``last_t`` each scene's last ``t``. ``error`` is (line, message) of the
-    first bad row, if any.
-    """
-
-    columns: dict[str, np.ndarray]
-    firsts: list[tuple[int, int, int]]
-    last_t: dict[int, int]
-    error: tuple[int, str] | None
+def _lines(text: str, start: int, stop: int) -> Iterator[str]:
+    r"""The lines of ``text[start:stop]``, each with its ``\n``, which the JSON decoder's positions count."""
+    while start < stop:
+        end = text.find("\n", start, stop) + 1 or stop
+        yield text[start:end]
+        start = end
 
 
-def _parse_piece(text: str, piece: tuple[int, int, int]) -> _Rows:
+def _parse_rows(text: str, piece: tuple[int, int, int]) -> tuple[dict[str, np.ndarray], tuple[int, str] | None]:
+    """Columns, with line numbers, of one piece's rows up to its first bad row, and that row's (line, message)."""
     start, stop, first_line = piece
-    return _parse_rows(io.StringIO(text[start:stop]), first_line)
-
-
-def _parse_rows(lines: Iterable[str], first_line: int) -> _Rows:
-    """Parse and check rows, numbering lines from ``first_line``; stop at the first bad row."""
+    line_of_row: list[int] = []
     scene_of_row: list[int] = []
     t_of_row: list[int] = []
     gt_counts: list[int] = []
@@ -340,10 +334,8 @@ def _parse_rows(lines: Iterable[str], first_line: int) -> _Rows:
     gt_occ: list[int] = []
     det_x: list[float] = []
     det_y: list[float] = []
-    last_t: dict[int, int] = {}
-    firsts: list[tuple[int, int, int]] = []
     error = None
-    for lineno, line in enumerate(lines, start=first_line):
+    for lineno, line in enumerate(_lines(text, start, stop), start=first_line):
         if line.isspace():
             continue
         try:
@@ -363,15 +355,10 @@ def _parse_rows(lines: Iterable[str], first_line: int) -> _Rows:
             dx = [entry["x"] for entry in det]
             dy = [entry["y"] for entry in det]
             _check_values(scene_id, t, ids, occ, (gx, gy, dx, dy))
-            prev = last_t.get(scene_id)
-            if prev is None:
-                firsts.append((lineno, scene_id, t))
-            elif t <= prev:
-                raise ValueError(_regression(scene_id, t, prev))
         except (KeyError, TypeError, ValueError) as exc:
             error = (lineno, str(exc))
             break
-        last_t[scene_id] = t
+        line_of_row.append(lineno)
         scene_of_row.append(scene_id)
         t_of_row.append(t)
         gt_counts.append(len(ids))
@@ -386,6 +373,7 @@ def _parse_rows(lines: Iterable[str], first_line: int) -> _Rows:
     gt_r, gt_theta = polar_from_xy_arrays(gt_x, gt_y)
     det_r, det_theta = polar_from_xy_arrays(det_x, det_y)
     columns = dict(
+        line=np.array(line_of_row, dtype=np.int64),
         scene=np.array(scene_of_row, dtype=np.int64),
         t=np.array(t_of_row, dtype=np.int64),
         gt_counts=np.array(gt_counts, dtype=np.int64),
@@ -397,31 +385,23 @@ def _parse_rows(lines: Iterable[str], first_line: int) -> _Rows:
         det_r=det_r,
         det_theta=det_theta,
     )
-    return _Rows(columns, firsts, last_t, error)
+    return columns, error
 
 
-def _regression(scene_id: int, t: int, prev: int) -> str:
-    return f"t {t} does not increase on t {prev} of scene {scene_id}"
+def _join_rows(pieces: list, decode_error: tuple[int, str] | None, frame_rate_hz: float) -> PerceptionDataset:
+    """One dataset from the pieces in file order, or the error of the earliest bad line.
 
-
-def _join_rows(pieces: list[_Rows], frame_rate_hz: float) -> PerceptionDataset:
-    """One dataset from the pieces in file order, or the error of the earliest bad line."""
-    last_t: dict[int, int] = {}
-    for piece in pieces:
-        seen = (first for first in piece.firsts if first[1] in last_t)
-        errors = [(line, _regression(s, t, last_t[s])) for line, s, t in seen if t <= last_t[s]]
-        errors += [piece.error] if piece.error else []
-        if errors:
-            line, message = min(errors)
-            raise DatasetFormatError(f"line {line}: {message}")
-        last_t.update(piece.last_t)
-    columns = {name: np.concatenate([piece.columns[name] for piece in pieces]) for name in pieces[0].columns}
+    ``t`` order is checked once rows are sorted by scene: each follows the previous row of its scene.
+    """
+    errors = [error for _, error in pieces if error] + ([decode_error] if decode_error else [])
+    columns = {name: np.concatenate([piece[name] for piece, _ in pieces]) for name in pieces[0][0]}
+    line = columns.pop("line")
     scene_of_frame = columns.pop("scene")
     columns["gt_offsets"] = _offsets(columns.pop("gt_counts"))
     columns["det_offsets"] = _offsets(columns.pop("det_counts"))
     if np.any(scene_of_frame[1:] < scene_of_frame[:-1]):
         order = np.argsort(scene_of_frame, kind="stable")
-        scene_of_frame = scene_of_frame[order]
+        scene_of_frame, line = scene_of_frame[order], line[order]
         columns["t"] = columns["t"][order]
         gt_index, columns["gt_offsets"] = _regroup(columns["gt_offsets"], order)
         det_index, columns["det_offsets"] = _regroup(columns["det_offsets"], order)
@@ -429,6 +409,13 @@ def _join_rows(pieces: list[_Rows], frame_rate_hz: float) -> PerceptionDataset:
             columns[name] = columns[name][gt_index]
         for name in ("det_r", "det_theta"):
             columns[name] = columns[name][det_index]
+    t = columns["t"]
+    regressions = np.flatnonzero((scene_of_frame[1:] == scene_of_frame[:-1]) & (t[1:] <= t[:-1])) + 1
+    if len(regressions):
+        k = regressions[np.argmin(line[regressions])]
+        errors.append((int(line[k]), f"t {t[k]} does not increase on t {t[k - 1]} of scene {scene_of_frame[k]}"))
+    if errors:
+        raise DatasetFormatError("line {}: {}".format(*min(errors)))
     scene_ids, frames_per_scene = np.unique(scene_of_frame, return_counts=True)
     columns["scene_ids"] = scene_ids
     columns["scene_offsets"] = _offsets(frames_per_scene)

@@ -6,8 +6,9 @@ refers to, reach the workers through the fork, unpickled, so ``fn`` may be
 any callable; only the tasks and the results are pickled. Results come back
 in task order, and an exception is raised for the first failing task in that
 order. Off Linux (macOS system libraries are not fork-safe, and Windows has
-no fork), or while other threads run (a forked child would inherit the locks
-they hold), the tasks run in this process instead.
+no fork), while other threads run (a forked child would inherit the locks
+they hold), or in a daemonic process such as a ``multiprocessing.Pool``
+worker (which may not have children), the tasks run in this process instead.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ def fork_map(fn: Callable[[T], R], tasks: Iterable[T], jobs: int) -> list[R]:
     require(jobs, "jobs", int, at_least=1)
     tasks = list(tasks)
     workers = min(jobs, len(tasks))
-    if workers < 2 or sys.platform != "linux" or threading.active_count() > 1:
+    daemonic = multiprocessing.current_process().daemon
+    if workers < 2 or sys.platform != "linux" or threading.active_count() > 1 or daemonic:
         return [fn(task) for task in tasks]
     context = multiprocessing.get_context("fork")
     pool = ProcessPoolExecutor(workers, mp_context=context, initializer=_adopt, initargs=(fn,))

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..checks import require_object
 from ..client import PemClient, RemoteError, ServerGone
 from ..geometry import OcclusionLevel
 from ..inject import InjectorSession
@@ -78,7 +79,7 @@ class RemoteSource:
             if self._client is None:
                 self._client = PemClient(self.host, self.port)
             self._client.init(self.model_name, seed, self.rate_hz)
-        except (OSError, RemoteError, ServerGone) as exc:
+        except (OSError, RemoteError, ServerGone, ValueError) as exc:
             self.close()
             raise PerceptionUnavailable(f"init against {self.host}:{self.port} failed: {exc}") from exc
 
@@ -86,10 +87,13 @@ class RemoteSource:
         objects = [{"id": oid, "x": x, "y": y, "occ": occ} for oid, x, y, occ in world]
         try:
             reply = self._client.frame(t, objects)
+            return [(obj["source_id"], obj["x"], obj["y"]) for obj in reply]
         except (OSError, RemoteError, ServerGone) as exc:
             self.close()
             raise PerceptionUnavailable(f"frame exchange failed: {exc}") from exc
-        return [(obj["source_id"], obj["x"], obj["y"]) for obj in reply]
+        except (KeyError, TypeError, ValueError) as exc:  # a reply that is not JSON or lacks a key
+            self.close()
+            raise PerceptionUnavailable(f"bad frame reply: {type(exc).__name__}: {exc}") from exc
 
     def close(self) -> None:
         if self._client is not None:
@@ -352,49 +356,48 @@ def save_runlog(log: RunLog, path: str | Path) -> None:
         fh.write(json.dumps(outcome, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+# The keys each kind of run-log line must hold, with their JSON types.
+_RUNLOG_KEYS = {
+    "meta": {"scenario": str, "seed": int, "source": str, "tick_rate_hz": int, "perception_rate_hz": int,
+             "ego_dims": list, "obstacles": list, "policy": dict},
+    "tick": {"t": float, "ego": list, "actors": list},
+    "outcome": {"collision": bool, "min_distance_m": (int, float), "end_reason": str, "aborted": bool,
+                "abort_reason": str},
+}
+_PERCEPTION_KEYS = {"objs": list, "det": dict, "rng": dict, "vis": dict}
+
+
 def load_runlog(path: str | Path) -> RunLog:
+    """Read a ``save_runlog`` file; a malformed line raises a ``ValueError`` that names ``path:line``."""
     log: RunLog | None = None
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        doc = json.loads(line)
-        kind = doc["type"]
-        if kind == "meta":
-            log = RunLog(
-                scenario_id=doc["scenario"],
-                seed=doc["seed"],
-                source_label=doc["source"],
-                tick_rate_hz=doc["tick_rate_hz"],
-                perception_rate_hz=doc["perception_rate_hz"],
-                ego_dims=tuple(doc["ego_dims"]),
-                obstacles=doc["obstacles"],
-                policy=doc["policy"],
-            )
-        elif kind == "tick":
-            perc = None
-            if "perc" in doc:
-                perc = PerceptionRecord(
-                    perceived=[(int(s), x, y) for s, x, y in doc["perc"]["objs"]],
-                    detected=dict(doc["perc"]["det"]),
-                    ranges=dict(doc["perc"]["rng"]),
-                    visibility=dict(doc["perc"]["vis"]),
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+        try:
+            doc = require_object(json.loads(line), "", {"type": str})
+            kind = doc["type"]
+            if kind not in _RUNLOG_KEYS:
+                raise ValueError(f"type must be one of {', '.join(_RUNLOG_KEYS)}, got {kind!r}")
+            require_object(doc, "", _RUNLOG_KEYS[kind])
+            if kind == "meta":
+                log = RunLog(
+                    doc["scenario"], doc["seed"], doc["source"], doc["tick_rate_hz"], doc["perception_rate_hz"],
+                    tuple(doc["ego_dims"]), doc["obstacles"], doc["policy"],
                 )
-            ego = doc["ego"]
-            log.ticks.append(
-                TickRow(
-                    t=doc["t"],
-                    ego_x=ego[0],
-                    ego_y=ego[1],
-                    ego_speed=ego[2],
-                    ego_accel=ego[3],
-                    actors=[tuple(a) for a in doc["actors"]],
-                    perception=perc,
-                )
-            )
-        elif kind == "outcome":
-            log.collision = doc["collision"]
-            log.min_distance_m = doc["min_distance_m"]
-            log.end_reason = doc["end_reason"]
-            log.aborted = doc["aborted"]
-            log.abort_reason = doc["abort_reason"]
+            elif log is None:
+                raise ValueError(f"{kind} line before the meta line")
+            elif kind == "tick":
+                perc = None
+                if "perc" in doc:
+                    found = require_object(doc["perc"], "perc", _PERCEPTION_KEYS)
+                    objs = [(int(s), x, y) for s, x, y in found["objs"]]
+                    perc = PerceptionRecord(objs, dict(found["det"]), dict(found["rng"]), dict(found["vis"]))
+                ego_x, ego_y, ego_speed, ego_accel = doc["ego"]
+                actors = [tuple(a) for a in doc["actors"]]
+                log.ticks.append(TickRow(doc["t"], ego_x, ego_y, ego_speed, ego_accel, actors, perc))
+            else:
+                for key in _RUNLOG_KEYS["outcome"]:
+                    setattr(log, key, doc[key])
+        except (TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
     if log is None:
         raise ValueError(f"{path} contains no meta line")
     if log.obstacles and not log.aborted:

@@ -127,6 +127,16 @@ def test_learn_empty_dataset_is_data_error(tmp_path, capsys):
     assert "no observations" in capsys.readouterr().err
 
 
+def test_learn_undecodable_dataset_is_data_error_naming_its_line(dataset_path, tmp_path, capsys):
+    lines = dataset_path.read_bytes().splitlines(keepends=True)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b"".join(lines[:2]) + b'{"scene": "\xff"}\n' + b"".join(lines[2:]))
+    code = main(["learn", "--dataset", str(bad), "--out", str(tmp_path / "out" / "m.json")])
+    assert code == EXIT_DATA
+    assert "line 3: not valid UTF-8: invalid start byte" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_learn_single_scene_dataset_succeeds(tmp_path):
     path = tmp_path / "one.jsonl"
     cfg = SyntheticDatasetConfig(

@@ -1,8 +1,9 @@
 """Sharded learn: the forked load, match+count and fits give the in-process results.
 
 The size floors are lowered so that small files shard. The in-process path
-(``jobs=1``, reading the file in text mode) is the reference for every
-column, output byte and error message.
+(``jobs=1``, the whole file as one piece) is the reference for every column,
+output byte and error message; ``test_dataset_equivalence`` checks it against
+the previous line-by-line reader.
 """
 
 import json
@@ -174,18 +175,22 @@ def test_sharded_load_raises_the_error_of_the_earliest_bad_line(tmp_path):
 
 def test_a_file_that_does_not_decode_raises_the_in_process_error(tmp_path, rows):
     data = "\n".join(rows).encode()
-    for name, bad_bytes in {"late": [len(data) - 100], "after-a-bad-row": [len(data) - 100, 0]}.items():
+    late = data.count(b"\n", 0, len(data) - 100) + 1  # the line that holds the late bad byte
+    cases = {"late": ([len(data) - 100], f"line {late}: not valid UTF-8: invalid start byte"),
+             "after-a-bad-row": ([len(data) - 100, 0], "line 1: not valid JSON: ")}
+    for name, (bad_bytes, message) in cases.items():
         broken = bytearray(data)
         for at in bad_bytes:
             broken[at] = 0xFF if at else ord("[")
         path = tmp_path / f"{name}.jsonl"
         path.write_bytes(bytes(broken))
-        with pytest.raises(ValueError) as expected:
+        with pytest.raises(DatasetFormatError) as expected:
             load_dataset(path)
-        with pytest.raises(ValueError) as sharded:
-            load_dataset(path, jobs=2)
-        assert type(sharded.value) is type(expected.value) and str(sharded.value) == str(expected.value)
-        assert ("codec can't decode" in str(expected.value)) == (name == "late")
+        assert str(expected.value).startswith(message), name
+        for jobs in (2, 3):
+            with pytest.raises(DatasetFormatError) as sharded:
+                load_dataset(path, jobs=jobs)
+            assert str(sharded.value) == str(expected.value), name
 
 
 @forks_workers

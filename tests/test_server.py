@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,7 @@ from pemkit import (
     xy_from_polar,
 )
 from pemkit import protocol
+from pemkit.client import conformance_requests
 from pemkit.inject import InjectorSession
 from pemkit.server import MAX_LINE_BYTES, Session
 from pemkit.sim import ModelSource
@@ -346,3 +348,9 @@ def test_request_line_cap(server, extra):
             message = f"request line longer than {MAX_LINE_BYTES} bytes"
             assert json.loads(reply) == {"type": "error", "code": "malformed", "message": message}
             assert client.exchange_raw(frame0) == expected  # one reply; the session goes on unchanged
+
+
+def test_conformance_requests_are_the_shipped_transcripts_requests():
+    transcript = Path(__file__).resolve().parent.parent / "conformance" / "transcript.jsonl"
+    entries = [json.loads(line) for line in transcript.read_text(encoding="utf-8").splitlines() if line]
+    assert [entry["line"] for entry in entries if entry["dir"] == "c2s"] == conformance_requests()

@@ -1,6 +1,10 @@
+import contextlib
+import json
 import math
 import multiprocessing
 import os
+import re
+import socketserver
 import subprocess
 import sys
 import threading
@@ -260,6 +264,42 @@ def test_runlog_roundtrip(tmp_path):
     assert loaded.scenario_id == log.scenario_id
 
 
+RUNLOG_DAMAGE = {
+    "meta-without-keys": (0, '{"type":"meta"}', "missing field: scenario"),
+    "meta-seed-not-int": (0, None, "seed must be an integer, got 'x'"),
+    "row-without-type": (1, '{"t":0.1}', "missing field: type"),
+    "json-list": (1, "[1, 2]", "document must be an object, got [1, 2]"),
+    "not-json": (2, "{", "Expecting property name"),
+    "unknown-type": (2, '{"type":"tock"}', "type must be one of meta, tick, outcome, got 'tock'"),
+    "short-ego": (1, '{"type":"tick","t":0.1,"ego":[1,2],"actors":[]}', "not enough values to unpack"),
+    "perc-without-objs": (1, '{"type":"tick","t":0.1,"ego":[1,2,3,4],"actors":[],"perc":{}}',
+                          "missing field: perc.objs"),
+    "outcome-without-aborted": (-1, '{"type":"outcome","collision":false,"min_distance_m":1.0,"end_reason":"x",'
+                                    '"abort_reason":""}', "missing field: aborted"),
+}
+
+
+@pytest.mark.parametrize("index, line, message", RUNLOG_DAMAGE.values(), ids=RUNLOG_DAMAGE.keys())
+def test_malformed_runlog_line_names_file_and_line(tmp_path, index, line, message):
+    path = tmp_path / "run.jsonl"
+    save_runlog(run_once(make_tc1(), ModelSource(stochastic_model()), seed=3), path)
+    lines = path.read_text().splitlines()
+    lines[index] = line if line is not None else lines[index].replace('"seed":3', '"seed":"x"')
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as error:
+        load_runlog(path)
+    assert str(error.value).startswith(f"{path}:{index % len(lines) + 1}: {message}")
+
+
+def test_runlog_tick_before_meta_names_file_and_line(tmp_path):
+    path = tmp_path / "run.jsonl"
+    save_runlog(run_once(make_tc1(), ModelSource(stochastic_model()), seed=3), path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[1:]) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: tick line before the meta line$"):
+        load_runlog(path)
+
+
 def test_make_scenario_lookup():
     assert make_scenario("tc2").scenario_id == "TC2"
     with pytest.raises(ValueError):
@@ -360,6 +400,75 @@ def test_remote_source_reconnects_after_server_restart(tmp_path):
     save_runlog(local, pa)
     save_runlog(remote, pb)
     assert pa.read_bytes() == pb.read_bytes()
+
+
+class FakeServer(socketserver.ThreadingTCPServer):
+    """Answers each init line with ``init_reply`` and every other line with ``frame_reply``."""
+
+    daemon_threads = True
+
+    def __init__(self, init_reply: bytes, frame_reply: bytes):
+        self.init_reply, self.frame_reply = init_reply, frame_reply
+        super().__init__(("127.0.0.1", 0), FakeHandler)
+
+
+class FakeHandler(socketserver.StreamRequestHandler):
+    def handle(self):
+        for line in self.rfile:
+            self.wfile.write(self.server.init_reply if b'"init"' in line else self.server.frame_reply)
+
+
+@contextlib.contextmanager
+def fake_server(init_reply=b'{"type":"ready"}\n', frame_reply=b'{"objects":[],"type":"frame"}\n'):
+    server = FakeServer(init_reply, frame_reply)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,))
+    thread.start()
+    try:
+        yield server.server_address[1]
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+
+
+BAD_FRAME_REPLIES = {
+    "not-json": b"this is not json\n",
+    "not-utf8": b"\xff\n",
+    "not-an-object": b"[1, 2]\n",
+    "no-objects": b'{"type":"frame"}\n',
+    "objects-not-a-list": b'{"objects":5,"type":"frame"}\n',
+    "no-source-id": b'{"objects":[{"x":1.0,"y":2.0}],"type":"frame"}\n',
+}
+
+
+@pytest.mark.parametrize("reply", BAD_FRAME_REPLIES.values(), ids=BAD_FRAME_REPLIES.keys())
+def test_bad_frame_reply_aborts_the_run(reply):
+    with fake_server(frame_reply=reply) as port:
+        source = RemoteSource("127.0.0.1", port, "m")
+        log = run_once(make_tc1(), source, seed=0)
+        assert log.aborted and log.end_reason == "aborted"
+        assert log.abort_reason.startswith("bad frame reply: ")
+        assert source._client is None  # the next run connects again
+        report = run_experiment(make_tc1(), source, n_runs=2, base_seed=0)
+    assert report.cells[0].n_aborted == 2
+
+
+def test_bad_init_reply_aborts_the_run():
+    with fake_server(init_reply=b"not json\n") as port:
+        log = run_once(make_tc1(), RemoteSource("127.0.0.1", port, "m"), seed=0)
+    assert log.aborted and "init against" in log.abort_reason
+
+
+def test_simulate_exits_4_on_bad_frame_replies(tmp_path, capsys):
+    from pemkit.cli import EXIT_IO, main
+
+    out = tmp_path / "sim"
+    with fake_server(frame_reply=BAD_FRAME_REPLIES["no-source-id"]) as port:
+        code = main(["simulate", "--scenario", "TC1", "--server", f"127.0.0.1:{port}:m", "--runs", "2",
+                     "--out-dir", str(out)])
+    assert code == EXIT_IO
+    assert "2 aborted runs" in capsys.readouterr().err
+    assert json.loads((out / "report.json").read_text())["cells"][0]["n_aborted"] == 2
 
 
 def test_scenario_from_config_document(tmp_path):
