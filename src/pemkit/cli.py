@@ -14,7 +14,6 @@ import hashlib
 import json
 import signal
 import sys
-import threading
 from collections import Counter
 from pathlib import Path
 
@@ -202,9 +201,7 @@ def cmd_serve(args) -> int:
     host, port = server.address
 
     def _stop(signum, frame):
-        # The handler runs on the thread inside serve_forever, and shutdown()
-        # waits for serve_forever to return; calling it here would deadlock.
-        threading.Thread(target=server.shutdown, daemon=True).start()
+        server.shutdown()  # on the serving thread, shutdown() only flags the loop and wakes it
 
     # Installed before the banner, so a caller that has read it may signal.
     signal.signal(signal.SIGINT, _stop)

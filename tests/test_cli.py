@@ -27,6 +27,7 @@ from pemkit import (
 from pemkit import SyntheticDatasetConfig
 from pemkit import cli, parallel
 from pemkit.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from pemkit.client import ServerGone
 from pemkit.model import IDENTITY_EMISSION
 from pemkit.sim import experiment
 
@@ -323,6 +324,44 @@ def test_serve_stops_on_sigterm(tmp_path):
         assert proc.returncode == EXIT_OK
         assert "server stopped" in out
     finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+
+
+@pytest.mark.parametrize(
+    "signum, idle_client",
+    [(signal.SIGINT, False), (signal.SIGINT, True), (signal.SIGTERM, True)],
+    ids=["sigint", "sigint-idle-client", "sigterm-idle-client"],
+)
+def test_serve_stops_on_signal(tmp_path, signum, idle_client):
+    # The handler runs on the serving thread itself; a connected client that
+    # sends nothing must not hold the server open.
+    model_path = tmp_path / "m.json"
+    save_model(perfect_model(), model_path)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pemkit.cli", "serve", "--model", f"m={model_path}", "--port", "0"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    client = None
+    try:
+        line = proc.stdout.readline()
+        assert "serving" in line
+        if idle_client:
+            client = PemClient("127.0.0.1", int(line.rsplit(":", 1)[1]))
+            client.init("m", 1)
+        proc.send_signal(signum)
+        out, err = proc.communicate(timeout=10)
+        assert proc.returncode == EXIT_OK, err
+        assert "server stopped" in out
+        if client is not None:
+            with pytest.raises(ServerGone):
+                client.frame(0, [])
+    finally:
+        if client is not None:
+            client.close()
         if proc.poll() is None:
             proc.kill()
             proc.wait()

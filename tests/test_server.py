@@ -1,8 +1,13 @@
+import ast
 import json
+import socket
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
+import pemkit
 from pemkit import (
     ErrorDistribution,
     GridSpec,
@@ -20,7 +25,8 @@ from pemkit import (
     xy_from_polar,
 )
 from pemkit import protocol
-from pemkit.client import conformance_requests
+from pemkit.cli import build_parser
+from pemkit.client import ServerGone, conformance_requests
 from pemkit.inject import InjectorSession
 from pemkit.server import MAX_LINE_BYTES, Session
 from pemkit.sim import ModelSource
@@ -354,3 +360,190 @@ def test_conformance_requests_are_the_shipped_transcripts_requests():
     transcript = Path(__file__).resolve().parent.parent / "conformance" / "transcript.jsonl"
     entries = [json.loads(line) for line in transcript.read_text(encoding="utf-8").splitlines() if line]
     assert [entry["line"] for entry in entries if entry["dir"] == "c2s"] == conformance_requests()
+
+
+# --- one event loop: framing, pipelining, back-pressure, fault isolation -----
+
+WIRE_REQUESTS = [
+    protocol.encode(protocol.init_msg("m", 31)),
+    *(protocol.encode(protocol.frame_msg(t, OBJS)) for t in range(6)),
+    b"not json\n",
+    protocol.encode(protocol.frame_msg(3, OBJS)),  # time regression
+    protocol.encode({"type": "reset"}),
+    *(protocol.encode(protocol.frame_msg(t, OBJS)) for t in range(3)),
+]
+
+
+def raw_session(server) -> socket.socket:
+    sock = socket.create_connection(server.address, timeout=30.0)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
+
+
+def read_lines(sock: socket.socket, n: int) -> list[bytes]:
+    with sock.makefile("rb") as rfile:
+        return [rfile.readline() for _ in range(n)]
+
+
+def one_request_per_write(server, requests: list[bytes]) -> list[bytes]:
+    with client_for(server) as client:
+        return [client.exchange_raw(line) for line in requests]
+
+
+def in_process_replies(requests: list[bytes]) -> list[bytes]:
+    session = Session({"m": stochastic_model()})
+    replies = []
+    for line in requests:
+        try:
+            reply = session.handle(protocol.parse_request(line))
+        except protocol.ProtocolError as exc:
+            reply = protocol.error_msg(exc.code, exc.message)
+        replies.append(protocol.encode(reply))
+    return replies
+
+
+def frame_lines(objects: list[dict], count: int) -> list[bytes]:
+    return [protocol.encode(protocol.frame_msg(t, objects)) for t in range(count)]
+
+
+@pytest.mark.parametrize("framing", ["byte-by-byte", "all-in-one-write", "tail-without-newline"])
+def test_replies_do_not_depend_on_how_requests_are_split(server, framing):
+    expected = one_request_per_write(server, WIRE_REQUESTS)
+    assert expected == in_process_replies(WIRE_REQUESTS)
+    stream = b"".join(WIRE_REQUESTS)
+    with raw_session(server) as sock:
+        if framing == "byte-by-byte":
+            for i in range(len(stream)):
+                sock.sendall(stream[i : i + 1])
+            assert read_lines(sock, len(WIRE_REQUESTS)) == expected
+        elif framing == "all-in-one-write":
+            sock.sendall(stream)
+            assert read_lines(sock, len(WIRE_REQUESTS)) == expected
+        else:
+            sock.sendall(stream[:-1])
+            sock.shutdown(socket.SHUT_WR)
+            with sock.makefile("rb") as rfile:
+                assert rfile.read() == b"".join(expected)  # every reply, then the server closes
+
+
+def test_pipelined_frames_come_back_in_order_while_another_session_is_served(server):
+    requests = [protocol.encode(protocol.init_msg("m", 17))] + frame_lines(OBJS, 2000)
+    other = WIRE_REQUESTS[:7]
+    expected_other = one_request_per_write(server, other)
+    with raw_session(server) as pipelined:
+        sender = threading.Thread(target=pipelined.sendall, args=(b"".join(requests),))
+        sender.start()
+        assert one_request_per_write(server, other) == expected_other
+        assert read_lines(pipelined, len(requests)) == in_process_replies(requests)
+        sender.join(timeout=30)
+        assert not sender.is_alive()
+
+
+def test_a_client_that_never_reads_is_paused_and_delays_no_one(server):
+    # 48-object frames: a stalled client's unread replies soon pass the server's
+    # cap and the kernel buffers, so the server must stop reading it.
+    many = [{"id": i, "x": -20.0 + i, "y": 5.0 + i, "occ": i % 4} for i in range(48)]
+    lines = frame_lines(many, 20000)
+    sent = []
+
+    def flood(sock):
+        try:
+            sock.sendall(protocol.encode(protocol.init_msg("m", 3)))
+            for line in lines:
+                sock.sendall(line)
+                sent.append(1)
+        except OSError:  # the test shut the socket down under the blocked send
+            pass
+
+    expected = one_request_per_write(server, WIRE_REQUESTS)
+    staller = raw_session(server)
+    flooder = threading.Thread(target=flood, args=(staller,))
+    flooder.start()
+    try:
+        deadline = time.monotonic() + 60
+        seen = -1
+        while len(sent) != seen and time.monotonic() < deadline:  # until the server stops reading it
+            seen = len(sent)
+            time.sleep(0.3)
+        assert seen < len(lines) and flooder.is_alive()
+        for _ in range(2):
+            assert one_request_per_write(server, WIRE_REQUESTS) == expected
+    finally:
+        staller.shutdown(socket.SHUT_RDWR)
+        staller.close()
+        flooder.join(timeout=30)
+    assert not flooder.is_alive()
+    assert one_request_per_write(server, WIRE_REQUESTS) == expected
+
+
+def test_a_failing_handler_closes_only_its_connection(monkeypatch, capsys):
+    srv, thread = serve_in_thread({"m": stochastic_model()})
+    try:
+        expected = one_request_per_write(srv, WIRE_REQUESTS)
+        handle = Session.handle
+
+        def failing(self, msg):
+            if msg["type"] == "init" and msg["seed"] == 666:
+                self.doomed = True
+            if getattr(self, "doomed", False) and msg["type"] == "frame":
+                raise RuntimeError("injected handler fault")
+            return handle(self, msg)
+
+        monkeypatch.setattr(Session, "handle", failing)
+        with client_for(srv) as live, client_for(srv) as doomed:
+            got = [live.exchange_raw(line) for line in WIRE_REQUESTS[:4]]
+            assert doomed.init("m", 666) == {"type": "ack", "of": "init"}
+            with pytest.raises(ServerGone):
+                doomed.frame(0, OBJS)
+            got += [live.exchange_raw(line) for line in WIRE_REQUESTS[4:]]
+        assert got == expected
+        assert one_request_per_write(srv, WIRE_REQUESTS) == expected  # new connections are still accepted
+        assert thread.is_alive()
+        err = capsys.readouterr().err
+        assert "Exception occurred during processing of request from" in err
+        assert "RuntimeError: injected handler fault" in err
+    finally:
+        srv.shutdown()
+        srv.close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+# --- design guards -----------------------------------------------------------
+
+
+def test_one_thread_serves_every_connection():
+    before = threading.active_count()
+    srv, thread = serve_in_thread({"m": stochastic_model()})
+    try:
+        assert threading.active_count() == before + 1
+        clients = [client_for(srv) for _ in range(8)]
+        try:
+            for seed, client in enumerate(clients):
+                client.init("m", seed)
+            for t in range(3):
+                for client in clients:
+                    client.frame(t, OBJS)
+            assert threading.active_count() == before + 1
+        finally:
+            for client in clients:
+                client.close()
+    finally:
+        srv.shutdown()
+        srv.close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def test_no_socketserver_no_environment_and_no_new_serve_option():
+    src = Path(pemkit.__file__).resolve().parent
+    for path in sorted(src.rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Import):
+                assert "socketserver" not in {alias.name for alias in node.names}, path
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "socketserver", path
+        assert "environ" not in text and "getenv" not in text, path
+    options = vars(build_parser().parse_args(["serve", "--model", "m.json"]))
+    assert set(options) == {"config", "command", "model", "host", "port", "func"}
