@@ -100,7 +100,7 @@ def cmd_learn(args) -> int:
     timings = StageTimes()
     jobs = usable_workers()
     with timings.stage("load"):
-        dataset = load_dataset(args.dataset, frame_rate_hz=args.frame_rate_hz, jobs=jobs)
+        dataset = load_dataset(args.dataset, jobs=jobs)
     spec = CarSpec.for_grid(grid, alpha=args.alpha)
     model, diagnostics = learn_pem(
         dataset, grid, car_spec=spec, gate_m=args.gate_m, metadata=args.label, timings=timings, jobs=jobs
@@ -337,6 +337,11 @@ def cmd_report(args) -> int:
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
     combined = merge_reports(reports)
+    # Each (source, scenario) pair names one CSV and one table entry; a repeat would overwrite one.
+    pairs = Counter((cell.source_label, cell.scenario_id) for cell in combined.cells)
+    repeated = next((pair for pair, n in pairs.items() if n > 1), None)
+    if repeated is not None:
+        raise ValueError("source {!r} and scenario {!r} appear in more than one cell".format(*repeated))
 
     grids = {json.dumps(c.grid, sort_keys=True) for c in combined.cells if c.grid is not None}
     warnings = []
@@ -390,7 +395,6 @@ def build_parser() -> _Parser:
     p.add_argument("--label", default="learned")
     p.add_argument("--alpha", type=float, default=0.95)
     p.add_argument("--gate-m", type=float, default=10.0)
-    p.add_argument("--frame-rate-hz", type=float, default=2.0)
     p.add_argument("--sector-deg", type=float, default=30.0)
     p.add_argument("--ring-depth-m", type=float, default=10.0)
     p.add_argument("--max-radius-m", type=float, default=100.0)
@@ -431,7 +435,7 @@ def build_parser() -> _Parser:
 
 
 # Bounds of the numeric options, checked with every option's type before a command starts.
-_OPTION_BOUNDS = {"gate_m": {"above": 0}, "frame_rate_hz": {"above": 0}, "runs": {"at_least": 1},
+_OPTION_BOUNDS = {"gate_m": {"above": 0}, "runs": {"at_least": 1},
                   "baseline_runs": {"at_least": 1}, "seed": {"at_least": 0}, "port": {"at_least": 0, "at_most": 65535}}
 
 

@@ -120,8 +120,8 @@ class DatasetBuilder:
             self.det_r.append(r)
             self.det_theta.append(theta)
 
-    def build(self, frame_rate_hz: float = 2.0) -> "PerceptionDataset":
-        return PerceptionDataset.from_columns(self.columns(), frame_rate_hz)
+    def build(self) -> "PerceptionDataset":
+        return PerceptionDataset.from_columns(self.columns())
 
     def columns(self) -> dict[str, np.ndarray]:
         return dict(
@@ -143,7 +143,6 @@ class PerceptionDataset:
     """A columnar perception dataset; see the module docstring for the layout."""
 
     __slots__ = (
-        "frame_rate_hz",
         "scene_ids",
         "scene_offsets",
         "t",
@@ -157,23 +156,22 @@ class PerceptionDataset:
         "det_theta",
     )
 
-    def __init__(self, scenes: Iterable[Scene] = (), frame_rate_hz: float = 2.0):
+    def __init__(self, scenes: Iterable[Scene] = ()):
         builder = DatasetBuilder()
         for scene in scenes:
             builder.add_scene(scene.scene_id)
             for frame in scene.frames:
                 gt = [(obj.id, obj.position.r, obj.position.theta, obj.occlusion) for obj in frame.gt]
                 builder.add_frame(gt, [(p.r, p.theta) for p in frame.det], frame.t)
-        self._set_columns(builder.columns(), frame_rate_hz)
+        self._set_columns(builder.columns())
 
     @classmethod
-    def from_columns(cls, columns: dict[str, np.ndarray], frame_rate_hz: float = 2.0) -> "PerceptionDataset":
+    def from_columns(cls, columns: dict[str, np.ndarray]) -> "PerceptionDataset":
         dataset = cls.__new__(cls)
-        dataset._set_columns(columns, frame_rate_hz)
+        dataset._set_columns(columns)
         return dataset
 
-    def _set_columns(self, columns: dict[str, np.ndarray], frame_rate_hz: float) -> None:
-        self.frame_rate_hz = frame_rate_hz
+    def _set_columns(self, columns: dict[str, np.ndarray]) -> None:
         for name, values in columns.items():
             setattr(self, name, values)
 
@@ -195,7 +193,7 @@ class PerceptionDataset:
         )
         columns.update({name: getattr(self, name)[g0:g1] for name in ("gt_id", "gt_r", "gt_theta", "gt_occ")})
         columns.update({name: getattr(self, name)[d0:d1] for name in ("det_r", "det_theta")})
-        return PerceptionDataset.from_columns(columns, self.frame_rate_hz)
+        return PerceptionDataset.from_columns(columns)
 
     @property
     def scenes(self) -> list[Scene]:
@@ -263,7 +261,7 @@ def _regroup(offsets: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.nda
 MIN_SHARDED_BYTES = 3_000_000
 
 
-def load_dataset(path: str | Path, frame_rate_hz: float = 2.0, jobs: int = 1) -> PerceptionDataset:
+def load_dataset(path: str | Path, jobs: int = 1) -> PerceptionDataset:
     """Read a JSONL dataset into columns; scenes come out ordered by id, frames in file order.
 
     With ``jobs`` > 1 and a file of at least ``MIN_SHARDED_BYTES``, the text
@@ -278,7 +276,7 @@ def load_dataset(path: str | Path, frame_rate_hz: float = 2.0, jobs: int = 1) ->
     del data  # only the text is held while the pieces are parsed
     pieces = fork_map(partial(_parse_rows, text), _line_pieces(text, parts), jobs)
     del text
-    return _join_rows(pieces, decode_error, frame_rate_hz)
+    return _join_rows(pieces, decode_error)
 
 
 def _decode(data: bytes) -> tuple[str, tuple[int, str] | None]:
@@ -388,7 +386,7 @@ def _parse_rows(text: str, piece: tuple[int, int, int]) -> tuple[dict[str, np.nd
     return columns, error
 
 
-def _join_rows(pieces: list, decode_error: tuple[int, str] | None, frame_rate_hz: float) -> PerceptionDataset:
+def _join_rows(pieces: list, decode_error: tuple[int, str] | None) -> PerceptionDataset:
     """One dataset from the pieces in file order, or the error of the earliest bad line.
 
     ``t`` order is checked once rows are sorted by scene: each follows the previous row of its scene.
@@ -419,4 +417,4 @@ def _join_rows(pieces: list, decode_error: tuple[int, str] | None, frame_rate_hz
     scene_ids, frames_per_scene = np.unique(scene_of_frame, return_counts=True)
     columns["scene_ids"] = scene_ids
     columns["scene_offsets"] = _offsets(frames_per_scene)
-    return PerceptionDataset.from_columns(columns, frame_rate_hz=frame_rate_hz)
+    return PerceptionDataset.from_columns(columns)

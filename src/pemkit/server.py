@@ -6,16 +6,15 @@ read-only after startup, so sessions never share mutable state. Protocol
 violations produce one error reply and leave the session running.
 
 One thread, the one that calls ``PemServer.serve_forever``, serves every
-connection from a ``selectors`` loop over non-blocking sockets: it accepts,
-reads, parses, handles and writes. Replies on a connection go out in request
-order. A connection whose unsent replies pass ``MAX_PENDING_BYTES`` is not
-read until they drain, so a client that stops reading holds a bounded amount
-of server memory and delays no other session.
+connection from an asyncio event loop: it accepts, reads, parses, handles and
+writes. Replies on a connection go out in request order. A connection whose
+unsent replies pass ``MAX_PENDING_BYTES`` is not read until they drain, so a
+client that stops reading holds a bounded amount of server memory and delays
+no other session.
 """
 
 from __future__ import annotations
 
-import selectors
 import socket
 import sys
 import threading
@@ -30,8 +29,6 @@ from .model import PemModel
 MAX_LINE_BYTES = 1 << 20
 # Unsent reply bytes past which a connection's requests are left unread.
 MAX_PENDING_BYTES = 1 << 20
-# Most bytes taken from a socket per read.
-RECV_BYTES = 1 << 16
 _OVERLONG = protocol.error_msg(protocol.ERR_MALFORMED, f"request line longer than {MAX_LINE_BYTES} bytes")
 
 
@@ -67,21 +64,108 @@ class Session:
 
 
 class _Connection:
-    """One client socket with its session, unparsed input and unsent replies."""
+    """Protocol callbacks for one client: its session, unparsed input and reply transport.
 
-    __slots__ = ("sock", "peer", "session", "inbuf", "scanned", "skipping", "out", "eof", "stops_server", "events")
+    The event loop calls these methods by name, so the class need not
+    subclass ``asyncio.Protocol`` and the module need not import asyncio.
+    """
 
-    def __init__(self, sock: socket.socket, peer, session: Session):
-        self.sock = sock
-        self.peer = peer
-        self.session = session
+    __slots__ = ("server", "transport", "session", "inbuf", "scanned", "skipping", "eof", "stops_server")
+
+    def __init__(self, server: "PemServer"):
+        self.server = server
+        self.session = Session(server._models)
         self.inbuf = bytearray()
         self.scanned = 0  # inbuf[:scanned] holds no newline: a line read in many pieces is scanned once
         self.skipping = False  # dropping the rest of an over-long line
-        self.out = bytearray()
-        self.eof = False  # no more requests: the client shut down its side, or asked the server to stop
+        self.eof = False  # the client shut down its side: no more requests
         self.stops_server = False  # sent the shutdown request; the server stops once this closes
-        self.events = selectors.EVENT_READ
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        transport.set_write_buffer_limits(high=MAX_PENDING_BYTES, low=MAX_PENDING_BYTES)
+        self.server._connections.add(self)
+
+    def connection_lost(self, exc) -> None:
+        self.server._connections.discard(self)
+        if self.stops_server:
+            self.server._loop.stop()
+
+    def data_received(self, data: bytes) -> None:
+        self.inbuf += data
+        self._answer_lines()
+
+    def eof_received(self) -> bool:
+        self.eof = True
+        self._answer_lines()
+        return True  # kept open until the last reply is queued; _answer_lines closes it
+
+    def pause_writing(self) -> None:
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.transport.resume_reading()
+        self._answer_lines()
+
+    def _answer_lines(self) -> None:
+        """Answer buffered requests until none is complete or unsent replies pass the cap.
+
+        Lines are cut as ``readline(MAX_LINE_BYTES)`` cuts them: a longer
+        line gets one malformed reply and is dropped through its newline,
+        and an unterminated tail at end of input is a line. A failure is
+        confined to this connection: it is closed and the rest are served on.
+        """
+        buf = self.inbuf
+        try:
+            while self.transport.is_reading():  # False while paused by the reply cap, or once closing
+                if self.skipping:
+                    end = buf.find(b"\n")
+                    if end < 0:
+                        buf.clear()
+                    else:
+                        del buf[: end + 1]
+                        self.skipping = False
+                end = buf.find(b"\n", self.scanned, MAX_LINE_BYTES)
+                if end >= 0:
+                    line = bytes(buf[: end + 1])
+                    del buf[: end + 1]
+                elif len(buf) >= MAX_LINE_BYTES:
+                    del buf[:MAX_LINE_BYTES]
+                    self.skipping = True
+                    self.scanned = 0
+                    self.transport.write(protocol.encode(_OVERLONG))
+                    continue
+                elif self.eof and buf:
+                    line = bytes(buf)
+                    buf.clear()
+                elif self.eof:
+                    self.transport.close()  # after the queued replies are sent
+                    return
+                else:
+                    self.scanned = len(buf)
+                    return
+                self.scanned = 0
+                self._answer(line)
+        except Exception:
+            peer = self.transport.get_extra_info("peername")
+            print("-" * 40, file=sys.stderr)
+            print(f"Exception occurred during processing of request from {peer}", file=sys.stderr)
+            traceback.print_exc()
+            print("-" * 40, file=sys.stderr)
+            self.transport.abort()
+
+    def _answer(self, line: bytes) -> None:
+        try:
+            msg = protocol.parse_request(line)
+        except protocol.ProtocolError as exc:
+            self.transport.write(protocol.encode(protocol.error_msg(exc.code, exc.message)))
+            return
+        if msg["type"] == "shutdown":
+            self.transport.write(protocol.encode(protocol.ack_msg("shutdown")))
+            self.stops_server = True
+            self.transport.close()
+            return
+        self.transport.write(protocol.encode(self.session.handle(msg)))
 
 
 class PemServer:
@@ -89,7 +173,8 @@ class PemServer:
 
     Binds on construction (so bind failures surface as startup errors);
     ``serve_forever`` blocks until ``shutdown`` is called or a client sends a
-    shutdown request, and then closes every connection.
+    shutdown request, and then closes every connection. It may be called
+    again after it returns, until ``close``.
     """
 
     def __init__(self, models: dict[str, PemModel], host: str = "127.0.0.1", port: int = protocol.DEFAULT_PORT):
@@ -97,11 +182,14 @@ class PemServer:
             raise ValueError("at least one model is required")
         self._models = dict(models)
         self._listener = socket.create_server((host, port))
-        self._listener.setblocking(False)
-        self._wake_r, self._wake_w = socket.socketpair()
-        self._wake_r.setblocking(False)
-        self._wake_w.setblocking(False)
-        self._stop = False
+        import asyncio  # here, not at module level: simulate and learn never pay for its import
+
+        self._loop = asyncio.new_event_loop()
+        # Made once: asyncio closes a listening socket when its server closes,
+        # and serve_forever may run again after shutdown.
+        listening = self._loop.create_server(lambda: _Connection(self), sock=self._listener)
+        self._server = self._loop.run_until_complete(listening)
+        self._connections: set[_Connection] = set()
         self._loop_thread: int | None = None
         self._idle = threading.Event()
         self._idle.set()
@@ -111,26 +199,20 @@ class PemServer:
         return self._listener.getsockname()[:2]
 
     def serve_forever(self) -> None:
+        import asyncio  # already loaded by the constructor
+
         self._loop_thread = threading.get_ident()
         self._idle.clear()
-        sel = selectors.DefaultSelector()
         try:
-            sel.register(self._listener, selectors.EVENT_READ)
-            sel.register(self._wake_r, selectors.EVENT_READ)
-            while not self._stop:
-                for key, mask in sel.select():
-                    if key.data is not None:
-                        self._service(sel, key.data, mask)
-                    elif key.fileobj is self._listener:
-                        self._accept(sel)
-                    else:
-                        self._wake_r.recv(4096)
+            self._loop.run_forever()
         finally:
-            for key in list(sel.get_map().values()):
-                if key.data is not None:
-                    self._close(sel, key.data)
-            sel.close()
-            self._stop = False
+            # Abort every connection, then run the loop a step: that runs the
+            # connection_lost callbacks and finishes accepts still in flight.
+            while self._connections or asyncio.all_tasks(self._loop):
+                for conn in list(self._connections):
+                    conn.transport.abort()
+                self._loop.call_soon(self._loop.stop)
+                self._loop.run_forever()
             self._loop_thread = None
             self._idle.set()
 
@@ -139,17 +221,16 @@ class PemServer:
 
         Safe to call on the serving thread itself, e.g. from a signal handler.
         """
-        self._stop = True
         try:
-            self._wake_w.send(b"\0")
-        except OSError:  # the wake-up buffer is full (a wake-up is pending), or the server is closed
-            pass
+            self._loop.call_soon_threadsafe(self._loop.stop)
+        except RuntimeError:  # the server is closed
+            return
         if self._loop_thread not in (None, threading.get_ident()):
             self._idle.wait()
 
     def close(self) -> None:
-        for sock in (self._listener, self._wake_r, self._wake_w):
-            sock.close()
+        self._server.close()
+        self._loop.close()
 
     def __enter__(self) -> "PemServer":
         return self
@@ -157,119 +238,6 @@ class PemServer:
     def __exit__(self, *exc) -> None:
         self.shutdown()
         self.close()
-
-    def _accept(self, sel: selectors.BaseSelector) -> None:
-        try:
-            sock, peer = self._listener.accept()
-        except OSError:  # the client gave up before the accept, or no descriptor is free
-            return
-        sock.setblocking(False)
-        conn = _Connection(sock, peer, Session(self._models))
-        sel.register(sock, conn.events, conn)
-
-    def _service(self, sel: selectors.BaseSelector, conn: _Connection, mask: int) -> None:
-        """Read what ``conn`` sent, answer every complete request and write what the socket takes.
-
-        A failure is confined to this connection: it is closed and the rest
-        are served on.
-        """
-        try:
-            if mask & selectors.EVENT_READ:
-                try:
-                    data = conn.sock.recv(RECV_BYTES)
-                except BlockingIOError:  # a spurious wake-up
-                    data = None
-                if data:
-                    conn.inbuf += data
-                elif data is not None:
-                    conn.eof = True
-            while True:
-                capped = self._handle_lines(conn)
-                if conn.out:
-                    try:
-                        del conn.out[: conn.sock.send(conn.out)]
-                    except BlockingIOError:
-                        pass
-                if conn.out or not capped:
-                    break  # the socket is full (write again when it drains), or every complete request is answered
-        except ConnectionError:  # the client reset or closed while replies were due
-            self._close(sel, conn)
-            return
-        except Exception:
-            print("-" * 40, file=sys.stderr)
-            print(f"Exception occurred during processing of request from {conn.peer}", file=sys.stderr)
-            traceback.print_exc()
-            print("-" * 40, file=sys.stderr)
-            self._close(sel, conn)
-            return
-        events = selectors.EVENT_WRITE if conn.out else 0
-        if not conn.eof and len(conn.out) <= MAX_PENDING_BYTES:
-            events |= selectors.EVENT_READ
-        if not events:
-            self._close(sel, conn)
-        elif events != conn.events:
-            conn.events = events
-            sel.modify(conn.sock, events, conn)
-
-    def _handle_lines(self, conn: _Connection) -> bool:
-        """Answer buffered requests until none is complete or unsent replies pass the cap.
-
-        Lines are cut as ``readline(MAX_LINE_BYTES)`` cuts them: a longer
-        line gets one malformed reply and is dropped through its newline,
-        and an unterminated tail at end of input is a line. Returns True when
-        the cap stopped it.
-        """
-        buf = conn.inbuf
-        while len(conn.out) <= MAX_PENDING_BYTES:
-            if conn.skipping:
-                end = buf.find(b"\n")
-                if end < 0:
-                    buf.clear()
-                    return False
-                del buf[: end + 1]
-                conn.skipping = False
-            end = buf.find(b"\n", conn.scanned, MAX_LINE_BYTES)
-            if end >= 0:
-                line = bytes(buf[: end + 1])
-                del buf[: end + 1]
-            elif len(buf) >= MAX_LINE_BYTES:
-                del buf[:MAX_LINE_BYTES]
-                conn.skipping = True
-                conn.out += protocol.encode(_OVERLONG)
-                conn.scanned = 0
-                continue
-            elif conn.eof and buf:
-                line = bytes(buf)
-                buf.clear()
-            else:
-                conn.scanned = len(buf)
-                return False
-            conn.scanned = 0
-            self._answer(conn, line)
-        return True
-
-    def _answer(self, conn: _Connection, line: bytes) -> None:
-        try:
-            msg = protocol.parse_request(line)
-        except protocol.ProtocolError as exc:
-            conn.out += protocol.encode(protocol.error_msg(exc.code, exc.message))
-            return
-        if msg["type"] == "shutdown":
-            conn.out += protocol.encode(protocol.ack_msg("shutdown"))
-            conn.inbuf.clear()
-            conn.eof = conn.stops_server = True
-            return
-        conn.out += protocol.encode(conn.session.handle(msg))
-
-    def _close(self, sel: selectors.BaseSelector, conn: _Connection) -> None:
-        sel.unregister(conn.sock)
-        try:
-            conn.sock.shutdown(socket.SHUT_WR)
-        except OSError:  # the client is already gone
-            pass
-        conn.sock.close()
-        if conn.stops_server:
-            self._stop = True
 
 
 def serve_in_thread(models: dict[str, PemModel], host: str = "127.0.0.1", port: int = 0) -> tuple[PemServer, threading.Thread]:

@@ -109,14 +109,14 @@ def min_distance(log: "RunLog") -> float:
     return best
 
 
-def perception_metrics(log: "RunLog", obstacle: str | None = None) -> tuple[float | None, float | None]:
+def perception_metrics(log: "RunLog") -> tuple[float | None, float | None]:
     """(relative detection frequency, max non-detection interval in seconds).
 
     Only perception ticks with the obstacle inside ELIGIBLE_RANGE_M count; an
     ineligible tick breaks a non-detection run. With zero eligible ticks both
     metrics are undefined and reported as None.
     """
-    name = obstacle or log.primary_obstacle
+    name = log.primary_obstacle
     if name is None:
         raise ValueError("run log has no obstacles")
     period = 1.0 / log.perception_rate_hz

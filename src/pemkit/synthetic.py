@@ -100,4 +100,4 @@ def synthesize_dataset(cfg: SyntheticDatasetConfig) -> PerceptionDataset:
                 det = [det[i] for i in rng.permutation(len(det))]
             builder.add_frame(world, det)
             positions = positions + velocities * dt
-    return builder.build(cfg.frame_rate_hz)
+    return builder.build()

@@ -582,6 +582,19 @@ def test_report_flags_mixed_grids(tmp_path, capsys):
     assert doc["warnings"]
 
 
+def test_report_rejects_a_repeated_cell_before_any_output(tmp_path, capsys):
+    runs = []
+    for n, seed in (("2", "0"), ("3", "100")):
+        out = tmp_path / f"sim{seed}"
+        assert main(["simulate", "--scenario", "TC1", "--baseline", "--baseline-runs", n, "--seed", seed,
+                     "--out-dir", str(out)]) == EXIT_OK
+        runs += ["--run-dir", str(out)]
+    rep = tmp_path / "rep"
+    assert main(["report", *runs, "--out-dir", str(rep)]) == EXIT_DATA
+    assert "source 'groundtruth' and scenario 'TC1' appear in more than one cell" in capsys.readouterr().err
+    assert not rep.exists()
+
+
 def bad_model_doc(edit):
     from pemkit.model import model_to_dict
 
@@ -618,11 +631,9 @@ def test_model_file_values_are_checked_before_any_output(tmp_path, capsys, edit,
     [
         (["--gate-m", "nan"], "option gate_m must be a finite number > 0, got nan"),
         (["--gate-m", "-1"], "option gate_m must be a finite number > 0, got -1.0"),
-        (["--frame-rate-hz", "0"], "option frame_rate_hz must be a finite number > 0, got 0.0"),
-        (["--frame-rate-hz", "inf"], "option frame_rate_hz must be a finite number > 0, got inf"),
         (["--sector-deg", "nan"], "option sector_deg must be a finite number, got nan"),
     ],
-    ids=["nan-gate", "negative-gate", "zero-frame-rate", "infinite-frame-rate", "nan-sector"],
+    ids=["nan-gate", "negative-gate", "nan-sector"],
 )
 def test_learn_rejects_bad_options_before_any_output(dataset_path, tmp_path, capsys, options, message):
     out = tmp_path / "out"

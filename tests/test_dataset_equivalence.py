@@ -53,12 +53,12 @@ def text_lines(data: bytes):
         yield line.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def oracle_load(data: bytes, frame_rate_hz: float = 2.0) -> PerceptionDataset:
+def oracle_load(data: bytes) -> PerceptionDataset:
     try:
         pieces = [_parse_rows(text_lines(data), 1)]
     except Undecodable as exc:
         raise DatasetFormatError(f"line {exc.lineno}: not valid UTF-8: {exc.reason}") from None
-    return _join_rows(pieces, frame_rate_hz)
+    return _join_rows(pieces)
 
 
 # ---- the previous reader, verbatim ----
@@ -155,7 +155,7 @@ def _regression(scene_id: int, t: int, prev: int) -> str:
     return f"t {t} does not increase on t {prev} of scene {scene_id}"
 
 
-def _join_rows(pieces: list[_Rows], frame_rate_hz: float) -> PerceptionDataset:
+def _join_rows(pieces: list[_Rows]) -> PerceptionDataset:
     """One dataset from the pieces in file order, or the error of the earliest bad line."""
     last_t: dict[int, int] = {}
     for piece in pieces:
@@ -183,7 +183,7 @@ def _join_rows(pieces: list[_Rows], frame_rate_hz: float) -> PerceptionDataset:
     scene_ids, frames_per_scene = np.unique(scene_of_frame, return_counts=True)
     columns["scene_ids"] = scene_ids
     columns["scene_offsets"] = _offsets(frames_per_scene)
-    return PerceptionDataset.from_columns(columns, frame_rate_hz=frame_rate_hz)
+    return PerceptionDataset.from_columns(columns)
 
 
 # ---- the single read path against it ----

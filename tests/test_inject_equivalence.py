@@ -135,7 +135,7 @@ def oracle_synthesize(cfg):
             frames.append(Frame(world, det, t))
             positions = positions + velocities * dt
         scenes.append(Scene(s, frames))
-    return PerceptionDataset(scenes, cfg.frame_rate_hz)
+    return PerceptionDataset(scenes)
 
 
 def random_model(seed, grid=GRID):

@@ -1,6 +1,8 @@
 import ast
 import json
 import socket
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -337,23 +339,46 @@ def test_server_session_and_model_source_share_one_stream():
     assert wire != wire_after_reset
 
 
-@pytest.mark.parametrize("extra", [0, 1, 1 << 20])
-def test_request_line_cap(server, extra):
-    # A valid frame padded with whitespace to MAX_LINE_BYTES + extra bytes: only the cap can reject it.
-    frame0 = protocol.encode(protocol.frame_msg(0, OBJS))
-    padded = frame0[:-1] + b" " * (MAX_LINE_BYTES + extra - len(frame0)) + b"\n"
+FRAME0 = protocol.encode(protocol.frame_msg(0, OBJS))
+
+
+def padded(size: int, end: bytes = b"\n") -> bytes:
+    """FRAME0 padded with whitespace to ``size`` bytes, ``end`` included: only the cap can reject it."""
+    return FRAME0[:-1] + b" " * (size + 1 - len(FRAME0) - len(end)) + end
+
+
+@pytest.mark.parametrize(
+    "writes, end_input, replies",
+    [
+        ([padded(MAX_LINE_BYTES)], False, ["frame"]),
+        ([padded(MAX_LINE_BYTES + 1), FRAME0], False, ["cap", "frame"]),
+        ([padded(2 * MAX_LINE_BYTES), FRAME0], False, ["cap", "frame"]),
+        ([padded(MAX_LINE_BYTES - 1, b"")], True, ["frame"]),
+        ([padded(MAX_LINE_BYTES, b"")], True, ["cap"]),
+        ([padded(MAX_LINE_BYTES + 1) + FRAME0], False, ["cap", "frame"]),
+        ([padded(MAX_LINE_BYTES + 1) * 2, FRAME0], False, ["cap", "cap", "frame"]),
+        ([padded(MAX_LINE_BYTES + 1, b"")], True, ["cap"]),
+    ],
+    ids=["0", "1", "1048576", "tail-one-under-cap", "tail-at-cap", "valid-request-in-same-write",
+         "two-over-long-lines", "over-long-tail"],
+)
+def test_request_line_cap(server, writes, end_input, replies):
     with client_for(server) as fresh:
         fresh.init("m", 4)
-        expected = fresh.exchange_raw(frame0)
-    with client_for(server) as client:
-        client.init("m", 4)
-        reply = client.exchange_raw(padded)
-        if extra == 0:
-            assert reply == expected
+        expected = {"frame": fresh.exchange_raw(FRAME0)}
+    message = f"request line longer than {MAX_LINE_BYTES} bytes"
+    expected["cap"] = protocol.encode({"type": "error", "code": "malformed", "message": message})
+    expected = [protocol.encode(protocol.ack_msg("init"))] + [expected[reply] for reply in replies]
+    with raw_session(server) as sock:
+        sock.sendall(protocol.encode(protocol.init_msg("m", 4)))
+        for data in writes:
+            sock.sendall(data)
+        if end_input:
+            sock.shutdown(socket.SHUT_WR)
+            with sock.makefile("rb") as rfile:
+                assert rfile.read() == b"".join(expected)  # each reply once, then the server closes
         else:
-            message = f"request line longer than {MAX_LINE_BYTES} bytes"
-            assert json.loads(reply) == {"type": "error", "code": "malformed", "message": message}
-            assert client.exchange_raw(frame0) == expected  # one reply; the session goes on unchanged
+            assert read_lines(sock, len(expected)) == expected  # the session goes on unchanged
 
 
 def test_conformance_requests_are_the_shipped_transcripts_requests():
@@ -476,6 +501,44 @@ def test_a_client_that_never_reads_is_paused_and_delays_no_one(server):
     assert one_request_per_write(server, WIRE_REQUESTS) == expected
 
 
+def test_a_client_that_reads_late_gets_every_reply_in_order():
+    # Small kernel buffers at both ends, so unread replies soon pass the cap:
+    # the server stops reading this client, then resumes once it reads.
+    srv, thread = serve_in_thread({"m": stochastic_model()})
+    many = [{"id": i, "x": -20.0 + i, "y": 5.0 + i, "occ": i % 4} for i in range(48)]
+    requests = [protocol.encode(protocol.init_msg("m", 9))] + frame_lines(many, 1500)
+    sent = []
+
+    def send_all(sock):
+        for line in requests:
+            sock.sendall(line)
+            sent.append(1)
+        sock.shutdown(socket.SHUT_WR)
+
+    try:
+        with socket.socket() as sock:
+            for end in (srv._listener, sock):  # accepted sockets inherit the listener's sizes
+                end.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 16)
+                end.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 1 << 16)
+            sock.connect(srv.address)
+            sender = threading.Thread(target=send_all, args=(sock,))
+            sender.start()
+            seen = -1
+            while len(sent) != seen:  # until the server stops reading it
+                seen = len(sent)
+                time.sleep(0.3)
+            assert seen < len(requests)
+            with sock.makefile("rb") as rfile:
+                assert rfile.read() == b"".join(in_process_replies(requests))
+            sender.join(timeout=30)
+            assert not sender.is_alive()
+    finally:
+        srv.shutdown()
+        srv.close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
 def test_a_failing_handler_closes_only_its_connection(monkeypatch, capsys):
     srv, thread = serve_in_thread({"m": stochastic_model()})
     try:
@@ -507,6 +570,20 @@ def test_a_failing_handler_closes_only_its_connection(monkeypatch, capsys):
         srv.close()
     thread.join(timeout=5)
     assert not thread.is_alive()
+
+
+def test_serve_forever_runs_again_after_shutdown():
+    srv = PemServer({"m": stochastic_model()}, port=0)
+    try:
+        for _ in range(2):
+            thread = threading.Thread(target=srv.serve_forever, daemon=True)
+            thread.start()
+            assert one_request_per_write(srv, WIRE_REQUESTS) == in_process_replies(WIRE_REQUESTS)
+            srv.shutdown()
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+    finally:
+        srv.close()
 
 
 # --- design guards -----------------------------------------------------------
@@ -547,3 +624,9 @@ def test_no_socketserver_no_environment_and_no_new_serve_option():
         assert "environ" not in text and "getenv" not in text, path
     options = vars(build_parser().parse_args(["serve", "--model", "m.json"]))
     assert set(options) == {"config", "command", "model", "host", "port", "func"}
+
+
+def test_importing_pemkit_leaves_asyncio_unloaded():
+    # Only a constructed PemServer imports asyncio; simulate and learn never pay for it.
+    check = "import sys, pemkit, pemkit.cli; assert 'asyncio' not in sys.modules, 'asyncio imported'"
+    subprocess.run([sys.executable, "-c", check], check=True, timeout=60)
