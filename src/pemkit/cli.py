@@ -439,11 +439,20 @@ _OPTION_BOUNDS = {"gate_m": {"above": 0}, "runs": {"at_least": 1},
                   "baseline_runs": {"at_least": 1}, "seed": {"at_least": 0}, "port": {"at_least": 0, "at_most": 65535}}
 
 
-def _check_options(parser: argparse.ArgumentParser, args) -> None:
-    """Every option of the command holds its type and bounds; argparse converts no --config value."""
-    for action in _subparsers(parser).choices[args.command]._actions:
+def _check_options(parser: argparse.ArgumentParser, args, config: dict) -> None:
+    """Every --config key names an option of the command, and every option holds its type and bounds.
+
+    argparse converts no --config value.
+    """
+    command = _subparsers(parser).choices[args.command]
+    actions = [action for action in command._actions if not isinstance(action, argparse._HelpAction)]
+    names = [action.dest for action in actions]
+    unknown = [key for key in config if key not in names]
+    if unknown:
+        raise UsageError(f"--config key {unknown[0]!r} is no option of {args.command}; valid: {', '.join(names)}")
+    for action in actions:
         value, name = getattr(args, action.dest, None), f"option {action.dest}"
-        if value is None:  # also --help
+        if value is None:
             continue
         append = isinstance(action, argparse._AppendAction)
         kind = action.type or (bool if action.nargs == 0 else list if append else str)
@@ -474,11 +483,12 @@ def main(argv: list[str] | None = None) -> int:
         pre = _Parser(add_help=False)
         pre.add_argument("--config")
         config_path = pre.parse_known_args(argv)[0].config
+        config = {}
         if config_path is not None:
-            defaults = json.loads(Path(config_path).read_text(encoding="utf-8"))
-            _apply_config_defaults(parser, require_object(defaults, f"--config file {config_path}"))
+            config = json.loads(Path(config_path).read_text(encoding="utf-8"))
+            _apply_config_defaults(parser, require_object(config, f"--config file {config_path}"))
         args = parser.parse_args(argv)
-        _check_options(parser, args)
+        _check_options(parser, args, config)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -32,7 +32,11 @@ never one Python object per position.
 
 from __future__ import annotations
 
+import io
 import json
+import os
+import re
+import stat
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import partial
@@ -264,63 +268,57 @@ MIN_SHARDED_BYTES = 3_000_000
 def load_dataset(path: str | Path, jobs: int = 1) -> PerceptionDataset:
     """Read a JSONL dataset into columns; scenes come out ordered by id, frames in file order.
 
-    With ``jobs`` > 1 and a file of at least ``MIN_SHARDED_BYTES``, the text
-    is cut after line ends into one piece per worker, parsed on forked
-    workers (``parallel.fork_map``); otherwise it is one piece, parsed
-    in-process. The columns, or the earliest bad line's error, are the same.
+    With ``jobs`` > 1 and a regular file of at least ``MIN_SHARDED_BYTES``,
+    the file is cut after line ends into one byte range per worker, which
+    each forked worker (``parallel.fork_map``) reads and parses; otherwise,
+    as for a pipe, the file is one piece, read to its end in-process. The
+    columns, or the earliest bad line's error, are the same.
     """
     require(jobs, "jobs", int, at_least=1)
-    data = Path(path).read_bytes()
-    parts = jobs if len(data) >= MIN_SHARDED_BYTES else 1
-    text, decode_error = _decode(data)
-    del data  # only the text is held while the pieces are parsed
-    pieces = fork_map(partial(_parse_rows, text), _line_pieces(text, parts), jobs)
-    del text
-    return _join_rows(pieces, decode_error)
+    info = os.stat(path)
+    ranges = [(0, None)]
+    if jobs > 1 and stat.S_ISREG(info.st_mode) and info.st_size >= MIN_SHARDED_BYTES:
+        with open(path, "rb") as fh:
+            ranges = _byte_ranges(fh, info.st_size, jobs)
+    return _join_rows(fork_map(partial(_parse_rows, path), ranges, jobs))
 
 
-def _decode(data: bytes) -> tuple[str, tuple[int, str] | None]:
-    """UTF-8 ``data`` with universal newlines, cut before the line of an undecodable byte, and that line's error."""
-    try:
-        text, reason = data.decode("utf-8"), None
-    except UnicodeDecodeError as exc:
-        text, reason = data[: exc.start].decode("utf-8"), exc.reason
-    text = text.replace("\r\n", "\n").replace("\r", "\n")
-    if reason is None:
-        return text, None
-    return text[: text.rfind("\n") + 1], (text.count("\n") + 1, f"not valid UTF-8: {reason}")
+def _byte_ranges(fh: io.BufferedIOBase, size: int, parts: int) -> list[tuple[int, int | None]]:
+    r"""(start, stop) of up to ``parts`` ranges of a ``size``-byte file, the last to EOF (None), cut after line ends.
 
-
-def _line_pieces(text: str, parts: int) -> list[tuple[int, int, int]]:
-    r"""(start, stop, first line number) of up to ``parts`` pieces of ``text``, each cut after a newline.
-
-    Only ``\n`` ends a line, as in text-mode iteration; ``str.splitlines``
-    would also split on characters such as ``\x0c`` and ``\u2028``.
+    A line ends at ``\n``, ``\r\n`` or a lone ``\r``, as in text mode; no cut falls between ``\r`` and ``\n``.
     """
     cuts = [0]
     for k in range(1, parts):
-        cut = text.find("\n", max(k * len(text) // parts, cuts[-1])) + 1
-        if cut in (0, len(text)):
+        start = max(k * size // parts, cuts[-1])
+        fh.seek(start)
+        end = re.search(rb"\r\n?|\n", fh.readline())  # readline stops after a \n, so \r\n is never split
+        if end is None or start + end.end() >= size:
             break
-        cuts.append(cut)
-    cuts.append(len(text))
-    first_lines = [1]
-    for start, stop in zip(cuts, cuts[1:-1]):
-        first_lines.append(first_lines[-1] + text.count("\n", start, stop))
-    return list(zip(cuts, cuts[1:], first_lines))
+        cuts.append(start + end.end())
+    return list(zip(cuts, cuts[1:] + [None]))
 
 
-def _lines(text: str, start: int, stop: int) -> Iterator[str]:
-    r"""The lines of ``text[start:stop]``, each with its ``\n``, which the JSON decoder's positions count."""
-    while start < stop:
-        end = text.find("\n", start, stop) + 1 or stop
-        yield text[start:end]
-        start = end
+def _lines(path: str | Path, start: int, stop: int | None) -> Iterator[bytes]:
+    r"""The lines from byte ``start`` to ``stop`` (None: EOF), ``\r\n`` and ``\r`` read as ``\n`` as in text mode.
+
+    A range that starts at 0 is read without a seek, so a pipe can be read.
+    """
+    with open(path, "rb") as fh:
+        if start:
+            fh.seek(start)
+        while chunk := fh.readline(-1 if stop is None else stop - start):
+            start += len(chunk)
+            yield from chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n").splitlines(keepends=True)
 
 
-def _parse_rows(text: str, piece: tuple[int, int, int]) -> tuple[dict[str, np.ndarray], tuple[int, str] | None]:
-    """Columns, with line numbers, of one piece's rows up to its first bad row, and that row's (line, message)."""
-    start, stop, first_line = piece
+def _parse_rows(
+    path: str | Path, span: tuple[int, int | None]
+) -> tuple[dict[str, np.ndarray], tuple[int, str] | None, int]:
+    """Columns of one byte range's rows up to its first bad row, that row's (line, message), and its line count.
+
+    Line numbers count from 1 at the start of the range.
+    """
     line_of_row: list[int] = []
     scene_of_row: list[int] = []
     t_of_row: list[int] = []
@@ -333,7 +331,14 @@ def _parse_rows(text: str, piece: tuple[int, int, int]) -> tuple[dict[str, np.nd
     det_x: list[float] = []
     det_y: list[float] = []
     error = None
-    for lineno, line in enumerate(_lines(text, start, stop), start=first_line):
+    lineno = 0
+    lines = enumerate(_lines(path, *span), start=1)
+    for lineno, raw in lines:
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            error = (lineno, f"not valid UTF-8: {exc.reason}")
+            break
         if line.isspace():
             continue
         try:
@@ -367,6 +372,8 @@ def _parse_rows(text: str, piece: tuple[int, int, int]) -> tuple[dict[str, np.nd
         gt_occ += occ
         det_x += dx
         det_y += dy
+    for lineno, _ in lines:  # a bad row's piece still counts its lines, which number the next piece's
+        pass
 
     gt_r, gt_theta = polar_from_xy_arrays(gt_x, gt_y)
     det_r, det_theta = polar_from_xy_arrays(det_x, det_y)
@@ -383,16 +390,22 @@ def _parse_rows(text: str, piece: tuple[int, int, int]) -> tuple[dict[str, np.nd
         det_r=det_r,
         det_theta=det_theta,
     )
-    return columns, error
+    return columns, error, lineno
 
 
-def _join_rows(pieces: list, decode_error: tuple[int, str] | None) -> PerceptionDataset:
+def _join_rows(pieces: list) -> PerceptionDataset:
     """One dataset from the pieces in file order, or the error of the earliest bad line.
 
+    Each piece numbers its lines from 1; the line counts of the pieces before it offset them.
     ``t`` order is checked once rows are sorted by scene: each follows the previous row of its scene.
     """
-    errors = [error for _, error in pieces if error] + ([decode_error] if decode_error else [])
-    columns = {name: np.concatenate([piece[name] for piece, _ in pieces]) for name in pieces[0][0]}
+    errors, first_line = [], 0
+    for rows, error, n_lines in pieces:
+        rows["line"] += first_line
+        if error:
+            errors.append((error[0] + first_line, error[1]))
+        first_line += n_lines
+    columns = {name: np.concatenate([rows[name] for rows, _, _ in pieces]) for name in pieces[0][0]}
     line = columns.pop("line")
     scene_of_frame = columns.pop("scene")
     columns["gt_offsets"] = _offsets(columns.pop("gt_counts"))

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..checks import require_object
+from ..checks import require, require_each, require_object
 from ..client import PemClient, RemoteError, ServerGone
 from ..geometry import OcclusionLevel
 from ..inject import InjectorSession
@@ -367,6 +367,14 @@ _RUNLOG_KEYS = {
 _PERCEPTION_KEYS = {"objs": list, "det": dict, "rng": dict, "vis": dict}
 
 
+def _entry(value, path: str, kinds: tuple[type, ...]) -> tuple:
+    """``value`` as a tuple, if it is a list that holds one value of each of ``kinds`` in turn."""
+    require(value, path, list)
+    if len(value) != len(kinds):
+        raise ValueError(f"{path} must hold {len(kinds)} values, got {value!r}")
+    return tuple(require(item, f"{path}[{i}]", kind) for i, (item, kind) in enumerate(zip(value, kinds)))
+
+
 def load_runlog(path: str | Path) -> RunLog:
     """Read a ``save_runlog`` file; a malformed line raises a ``ValueError`` that names ``path:line``."""
     log: RunLog | None = None
@@ -388,10 +396,14 @@ def load_runlog(path: str | Path) -> RunLog:
                 perc = None
                 if "perc" in doc:
                     found = require_object(doc["perc"], "perc", _PERCEPTION_KEYS)
-                    objs = [(int(s), x, y) for s, x, y in found["objs"]]
+                    objs = [_entry(o, f"perc.objs[{i}]", (int, float, float)) for i, o in enumerate(found["objs"])]
+                    for name, kind in (("det", bool), ("rng", float), ("vis", float)):
+                        for key, value in found[name].items():
+                            require(value, f"perc.{name}.{key}", kind)
                     perc = PerceptionRecord(objs, dict(found["det"]), dict(found["rng"]), dict(found["vis"]))
                 ego_x, ego_y, ego_speed, ego_accel = doc["ego"]
-                actors = [tuple(a) for a in doc["actors"]]
+                require_each({"ego": doc["ego"]}, float)
+                actors = [_entry(actor, f"actors[{i}]", (float,) * 4) for i, actor in enumerate(doc["actors"])]
                 log.ticks.append(TickRow(doc["t"], ego_x, ego_y, ego_speed, ego_accel, actors, perc))
             else:
                 for key in _RUNLOG_KEYS["outcome"]:

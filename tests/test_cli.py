@@ -689,6 +689,20 @@ def test_serve_rejects_port_out_of_range(tmp_path, capsys, port):
     assert not out.exists()
 
 
+def test_config_key_that_names_no_option_is_a_usage_error(tmp_path, capsys):
+    model_path = tmp_path / "m.json"
+    save_model(perfect_model(), model_path)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"runz": 5, "frame_rate_hz": 0}))
+    out = tmp_path / "out"
+    argv = ["--config", str(config), "simulate", "--scenario", "TC1", "--model", f"m={model_path}", "--runs", "1",
+            "--out-dir", str(out)]
+    assert main(argv) == EXIT_USAGE
+    assert ("--config key 'runz' is no option of simulate; valid: scenario, model, server, baseline, runs, "
+            "baseline_runs, seed, policy, save_logs, out_dir") in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_must_hold_an_object(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text("[1]")

@@ -6,6 +6,7 @@ output byte and error message; ``test_dataset_equivalence`` checks it against
 the previous line-by-line reader.
 """
 
+import io
 import json
 import multiprocessing
 import os
@@ -99,9 +100,12 @@ def write(path, lines, newline="\n", end="\n"):
 
 def pieces_of(path, jobs):
     """Each piece's first line number and the scenes whose rows it holds."""
-    text = path.read_text(encoding="utf-8")
-    return [(first, {json.loads(line)["scene"] for line in text[a:b].split("\n") if line.strip()})
-            for a, b, first in dataset._line_pieces(text, jobs)]
+    data, pieces = path.read_bytes(), []
+    text_mode = lambda raw: raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    for a, b in dataset._byte_ranges(io.BytesIO(data), len(data), jobs):
+        scenes = {json.loads(line)["scene"] for line in text_mode(data[a:b]).split(b"\n") if line.strip()}
+        pieces.append((text_mode(data[:a]).count(b"\n") + 1, scenes))
+    return pieces
 
 
 def assert_same_columns(a, b):
@@ -191,6 +195,22 @@ def test_a_file_that_does_not_decode_raises_the_in_process_error(tmp_path, rows)
             with pytest.raises(DatasetFormatError) as sharded:
                 load_dataset(path, jobs=jobs)
             assert str(sharded.value) == str(expected.value), name
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads a pipe through /dev/fd")
+def test_a_dataset_from_a_pipe_reads_the_columns_of_the_same_file(tmp_path, rows):
+    path = write(tmp_path / "d.jsonl", rows)
+    data = path.read_bytes()
+    assert len(data) < 60_000  # the pipe holds it all, so the writer never waits for the reader
+    expected = load_dataset(path)
+    for jobs in (1, 2):
+        r, w = os.pipe()
+        with os.fdopen(w, "wb") as writer:
+            writer.write(data)
+        try:
+            assert_same_columns(load_dataset(f"/dev/fd/{r}", jobs=jobs), expected)
+        finally:
+            os.close(r)
 
 
 @forks_workers

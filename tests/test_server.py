@@ -21,6 +21,7 @@ from pemkit import (
     RemoteError,
     TransitionMatrix,
     apply_pem,
+    load_model,
     polar_from_xy,
     serve_in_thread,
     session_rng,
@@ -28,7 +29,7 @@ from pemkit import (
 )
 from pemkit import protocol
 from pemkit.cli import build_parser
-from pemkit.client import ServerGone, conformance_requests
+from pemkit.client import ServerGone, conformance_requests, record_transcript
 from pemkit.inject import InjectorSession
 from pemkit.server import MAX_LINE_BYTES, Session
 from pemkit.sim import ModelSource
@@ -385,6 +386,17 @@ def test_conformance_requests_are_the_shipped_transcripts_requests():
     transcript = Path(__file__).resolve().parent.parent / "conformance" / "transcript.jsonl"
     entries = [json.loads(line) for line in transcript.read_text(encoding="utf-8").splitlines() if line]
     assert [entry["line"] for entry in entries if entry["dir"] == "c2s"] == conformance_requests()
+
+
+def test_record_transcript_rebuilds_the_shipped_transcript(tmp_path):
+    conformance = Path(__file__).resolve().parent.parent / "conformance"
+    srv, _thread = serve_in_thread({"conformance": load_model(conformance / "model.json")})
+    try:
+        record_transcript(*srv.address, conformance_requests(), tmp_path / "transcript.jsonl")
+    finally:
+        srv.shutdown()
+        srv.close()
+    assert (tmp_path / "transcript.jsonl").read_bytes() == (conformance / "transcript.jsonl").read_bytes()
 
 
 # --- one event loop: framing, pipelining, back-pressure, fault isolation -----

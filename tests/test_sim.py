@@ -264,6 +264,13 @@ def test_runlog_roundtrip(tmp_path):
     assert loaded.scenario_id == log.scenario_id
 
 
+def _tick(ego=(0.0, 0.0, 10.0, 1.5), actors=((4.0, 440.0, 3.14, 0.0),), objs=(), det=None, rng=None, vis=None):
+    """A run-log tick line whose perception record holds one obstacle, ``pedestrian``."""
+    perc = {"objs": objs, "det": det or {"pedestrian": False}, "rng": rng or {"pedestrian": 440.0},
+            "vis": vis or {"pedestrian": 1.0}}
+    return json.dumps({"type": "tick", "t": 0.0, "ego": ego, "actors": actors, "perc": perc})
+
+
 RUNLOG_DAMAGE = {
     "meta-without-keys": (0, '{"type":"meta"}', "missing field: scenario"),
     "meta-seed-not-int": (0, None, "seed must be an integer, got 'x'"),
@@ -274,6 +281,16 @@ RUNLOG_DAMAGE = {
     "short-ego": (1, '{"type":"tick","t":0.1,"ego":[1,2],"actors":[]}', "not enough values to unpack"),
     "perc-without-objs": (1, '{"type":"tick","t":0.1,"ego":[1,2,3,4],"actors":[],"perc":{}}',
                           "missing field: perc.objs"),
+    "perc-id-float": (1, _tick(objs=[[3.7, 1.0, 2.0]]), "perc.objs[0][0] must be an integer, got 3.7"),
+    "perc-id-string": (1, _tick(objs=[["5", 1.0, 2.0]]), "perc.objs[0][0] must be an integer, got '5'"),
+    "perc-x-string": (1, _tick(objs=[[1, "x", 2.0]]), "perc.objs[0][1] must be a finite number, got 'x'"),
+    "perc-short-obj": (1, _tick(objs=[[1, 2.0]]), "perc.objs[0] must hold 3 values, got [1, 2.0]"),
+    "perc-det-number": (1, _tick(det={"pedestrian": 1}), "perc.det.pedestrian must be true or false, got 1"),
+    "perc-rng-string": (1, _tick(rng={"pedestrian": "x"}), "perc.rng.pedestrian must be a finite number, got 'x'"),
+    "perc-vis-bool": (1, _tick(vis={"pedestrian": True}), "perc.vis.pedestrian must be a finite number, got True"),
+    "ego-string": (1, _tick(ego=["a", 0.0, 10.0, 1.5]), "ego must be a finite number, got 'a'"),
+    "actor-string": (1, _tick(actors=["abcd"]), "actors[0] must be a list, got 'abcd'"),
+    "actor-string-value": (1, _tick(actors=[[4.0, "y", 0.0, 0.0]]), "actors[0][1] must be a finite number, got 'y'"),
     "outcome-without-aborted": (-1, '{"type":"outcome","collision":false,"min_distance_m":1.0,"end_reason":"x",'
                                     '"abort_reason":""}', "missing field: aborted"),
 }
