@@ -5,12 +5,16 @@ float that converts to a finite float (not ``NaN``, ``1e999`` or ``10**400``).
 The raising forms name the value's path, such as ``conditions[5].sector``, in
 a plain ``ValueError`` that each reader turns into its own error. A name that
 becomes part of an output path must be a plain file name (``is_file_name``).
+A JSON file that does not decode, also one nested too deeply for the decoder,
+is a ``ValueError`` that names the file (``read_json``).
 """
 
 from __future__ import annotations
 
+import json
 from itertools import chain
 from math import isfinite
+from pathlib import Path
 
 _KIND_NAMES = {str: "a string", bool: "true or false", list: "a list", dict: "an object", int: "an integer"}
 
@@ -71,3 +75,12 @@ def require_each(columns: dict[str, list], kind: type) -> None:
     for path, values in columns.items():
         for value in values:
             require(value, path, kind)
+
+
+def read_json(path: str | Path):
+    """The JSON document in file ``path``; one that does not decode is a ``ValueError`` that names the file."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested deeper than the decoder's stack
+        raise ValueError(f"{path}: not valid JSON: {exc}") from None

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .car import CarConvergenceError, CarSpec
-from .checks import is_file_name, require, require_object
+from .checks import is_file_name, read_json, require, require_object
 from .dataset import DatasetFormatError, load_dataset
 from .geometry import GridSpec, N_OCCLUSION_LEVELS, condition_index, sector_of
 from .learn import EmptyDatasetError, StageTimes, learn_pem
@@ -65,7 +65,10 @@ def _canonical_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
-def _sha256(path: Path) -> str:
+def _sha256(path: Path) -> str | None:
+    """The SHA-256 of a regular file; None for any other input, such as a pipe, which a second read would miss."""
+    if not path.is_file():
+        return None
     h = hashlib.sha256()
     with path.open("rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
@@ -218,7 +221,7 @@ def cmd_serve(args) -> int:
 def _policy_from_file(path: str | None) -> PolicyConfig:
     if path is None:
         return PolicyConfig()
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = read_json(path)
     require_object(doc, f"policy file {path}", known=PolicyConfig.__dataclass_fields__)
     return PolicyConfig(**doc)
 
@@ -226,7 +229,7 @@ def _policy_from_file(path: str | None) -> PolicyConfig:
 def _resolve_scenario(entry: str):
     path = Path(entry)
     if path.suffix == ".json" or path.is_file():
-        return scenario_from_dict(json.loads(path.read_text(encoding="utf-8")))
+        return scenario_from_dict(read_json(path))
     return make_scenario(entry)
 
 
@@ -332,8 +335,9 @@ def cmd_report(args) -> int:
         path = Path(run_dir) / "report.json"
         if not path.exists():
             raise FileNotFoundError(f"{run_dir} contains no report.json")
+        doc = read_json(path)
         try:
-            reports.append(ExperimentReport.from_dict(json.loads(path.read_text(encoding="utf-8"))))
+            reports.append(ExperimentReport.from_dict(doc))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
     combined = merge_reports(reports)
@@ -485,7 +489,7 @@ def main(argv: list[str] | None = None) -> int:
         config_path = pre.parse_known_args(argv)[0].config
         config = {}
         if config_path is not None:
-            config = json.loads(Path(config_path).read_text(encoding="utf-8"))
+            config = read_json(config_path)
             _apply_config_defaults(parser, require_object(config, f"--config file {config_path}"))
         args = parser.parse_args(argv)
         _check_options(parser, args, config)

@@ -48,7 +48,11 @@ class PemClient:
         return reply
 
     def request(self, msg: dict) -> dict:
-        reply = require(json.loads(self.exchange_raw(protocol.encode(msg))), "server reply", dict)
+        line = self.exchange_raw(protocol.encode(msg))
+        try:
+            reply = require(json.loads(line), "server reply", dict)
+        except RecursionError:
+            raise ValueError("server reply is nested too deeply to decode") from None
         if reply.get("type") == "error":
             raise RemoteError(reply.get("code", "?"), reply.get("message", ""))
         return reply

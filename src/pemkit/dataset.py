@@ -28,6 +28,14 @@ never one Python object per position.
 
 ``Scene`` / ``Frame`` objects are built only when ``scenes`` is read, and
 ``PerceptionDataset(scenes)`` converts such objects to columns.
+
+Building (``DatasetBuilder``, behind ``synthesize_dataset`` and
+``PerceptionDataset(scenes)``) and loading also hold 8 bytes a value: ids,
+levels and times in ``array("q")``, positions in ``array("d")``, grown once
+per frame and handed to NumPy without a copy. ``save_dataset`` converts and
+writes one scene at a time; each line is exactly the text of
+``json.dumps(row, sort_keys=True, separators=(",", ":"))``: ``int.__repr__``,
+``float.__repr__``, and ``NaN`` / ``Infinity`` / ``-Infinity``.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ import json
 import os
 import re
 import stat
+from array import array
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import partial
@@ -77,27 +86,32 @@ class Scene:
     frames: list[Frame] = field(default_factory=list)
 
 
-def _offsets(counts: list[int] | np.ndarray) -> np.ndarray:
+def _offsets(counts: array | np.ndarray) -> np.ndarray:
     out = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=out[1:])
     return out
 
 
+def _numpy(values: array) -> np.ndarray:
+    """An ``array("q")`` or ``array("d")`` as an int64 or float64 NumPy array over the same memory."""
+    return np.frombuffer(values, dtype=values.typecode)
+
+
 class DatasetBuilder:
-    """Collects scenes frame by frame into flat lists, then builds the columns once."""
+    """Collects scenes frame by frame into typed columns, 8 bytes a value, then hands them to NumPy."""
 
     def __init__(self):
-        self.scene_ids: list[int] = []
-        self.scene_frames: list[int] = []
-        self.t: list[int] = []
-        self.gt_counts: list[int] = []
-        self.det_counts: list[int] = []
-        self.gt_id: list[int] = []
-        self.gt_r: list[float] = []
-        self.gt_theta: list[float] = []
-        self.gt_occ: list[int] = []
-        self.det_r: list[float] = []
-        self.det_theta: list[float] = []
+        self.scene_ids = array("q")
+        self.scene_frames = array("q")
+        self.t = array("q")
+        self.gt_counts = array("q")
+        self.det_counts = array("q")
+        self.gt_id = array("q")
+        self.gt_r = array("d")
+        self.gt_theta = array("d")
+        self.gt_occ = array("q")
+        self.det_r = array("d")
+        self.det_theta = array("d")
 
     def add_scene(self, scene_id: int) -> None:
         self.scene_ids.append(scene_id)
@@ -106,41 +120,46 @@ class DatasetBuilder:
     def add_frame(
         self, gt: list[tuple[int, float, float, int]], det: list[tuple[float, float]], t: int | None = None
     ) -> None:
-        """Append a frame to the current scene: ground truth as (id, r, theta, occ), detections as (r, theta)."""
+        """Append a frame to the current scene: ground truth as (id, r, theta, occ), detections as (r, theta).
+
+        The whole frame is converted before any column grows, so a value that does not fit its column
+        (a float id, an id beyond 64 bits) raises and leaves the builder unchanged.
+        """
         if t is None:
             t = self.scene_frames[-1]
         if self.scene_frames[-1] and t <= self.t[-1]:
             raise ValueError(f"scene {self.scene_ids[-1]}: frame t {t} does not increase on t {self.t[-1]}")
-        self.scene_frames[-1] += 1
-        self.t.append(t)
+        gt_id, gt_r, gt_theta, gt_occ = zip(*gt, strict=True) if gt else ((),) * 4
+        det_r, det_theta = zip(*det, strict=True) if det else ((),) * 2
+        new = (array("q", (t,)), array("q", gt_id), array("d", gt_r), array("d", gt_theta), array("q", gt_occ),
+               array("d", det_r), array("d", det_theta))
+        columns = (self.t, self.gt_id, self.gt_r, self.gt_theta, self.gt_occ, self.det_r, self.det_theta)
+        for column, values in zip(columns, new):
+            column.extend(values)
         self.gt_counts.append(len(gt))
         self.det_counts.append(len(det))
-        for oid, r, theta, occ in gt:
-            self.gt_id.append(oid)
-            self.gt_r.append(r)
-            self.gt_theta.append(theta)
-            self.gt_occ.append(occ)
-        for r, theta in det:
-            self.det_r.append(r)
-            self.det_theta.append(theta)
+        self.scene_frames[-1] += 1
 
     def build(self) -> "PerceptionDataset":
         return PerceptionDataset.from_columns(self.columns())
 
     def columns(self) -> dict[str, np.ndarray]:
-        return dict(
-            scene_ids=np.array(self.scene_ids, dtype=np.int64),
+        """The columns as NumPy arrays that take over the builder's memory uncopied; the builder starts empty again."""
+        columns = dict(
+            scene_ids=_numpy(self.scene_ids),
             scene_offsets=_offsets(self.scene_frames),
-            t=np.array(self.t, dtype=np.int64),
+            t=_numpy(self.t),
             gt_offsets=_offsets(self.gt_counts),
             det_offsets=_offsets(self.det_counts),
-            gt_id=np.array(self.gt_id, dtype=np.int64),
-            gt_r=np.array(self.gt_r, dtype=float),
-            gt_theta=np.array(self.gt_theta, dtype=float),
-            gt_occ=np.array(self.gt_occ, dtype=np.int64),
-            det_r=np.array(self.det_r, dtype=float),
-            det_theta=np.array(self.det_theta, dtype=float),
+            gt_id=_numpy(self.gt_id),
+            gt_r=_numpy(self.gt_r),
+            gt_theta=_numpy(self.gt_theta),
+            gt_occ=_numpy(self.gt_occ),
+            det_r=_numpy(self.det_r),
+            det_theta=_numpy(self.det_theta),
         )
+        self.__init__()
+        return columns
 
 
 class PerceptionDataset:
@@ -220,21 +239,38 @@ class PerceptionDataset:
 
 
 def save_dataset(dataset: PerceptionDataset, path: str | Path) -> None:
-    gx, gy = (a.tolist() for a in xy_from_polar_arrays(dataset.gt_r, dataset.gt_theta))
-    dx, dy = (a.tolist() for a in xy_from_polar_arrays(dataset.det_r, dataset.det_theta))
-    ids, occ = dataset.gt_id.tolist(), dataset.gt_occ.tolist()
-    gt_off, det_off, t = dataset.gt_offsets.tolist(), dataset.det_offsets.tolist(), dataset.t.tolist()
-    bounds = dataset.scene_offsets.tolist()
+    """Write the dataset as JSONL, converting and writing one scene at a time.
+
+    Each line is the text of ``json.dumps(row, sort_keys=True, separators=(",", ":"))``.
+    """
+    # x and y are finite wherever r and theta are, so only a non-finite polar value can need a JSON constant.
+    finite = all(np.isfinite(getattr(dataset, name)).all() for name in ("gt_r", "gt_theta", "det_r", "det_theta"))
     with Path(path).open("w", encoding="utf-8") as fh:
         for s, scene_id in enumerate(dataset.scene_ids.tolist()):
-            for f in range(bounds[s], bounds[s + 1]):
-                gt = [
-                    {"id": ids[k], "x": gx[k], "y": gy[k], "occ": occ[k]}
-                    for k in range(gt_off[f], gt_off[f + 1])
-                ]
-                det = [{"x": dx[k], "y": dy[k]} for k in range(det_off[f], det_off[f + 1])]
-                row = {"scene": scene_id, "t": t[f], "gt": gt, "det": det}
-                fh.write(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n")
+            scene = dataset.scene_range(s, s + 1)
+            r, theta = np.concatenate((scene.gt_r, scene.det_r)), np.concatenate((scene.gt_theta, scene.det_theta))
+            x, y = (_json_floats(v, finite) for v in xy_from_polar_arrays(r, theta))  # ground truth, then detections
+            ids, occ, n_gt = scene.gt_id.tolist(), scene.gt_occ.tolist(), len(scene.gt_id)
+            gt = [f'{{"id":{i},"occ":{o},"x":{gx},"y":{gy}}}' for i, o, gx, gy in zip(ids, occ, x, y)]
+            det = [f'{{"x":{dx},"y":{dy}}}' for dx, dy in zip(x[n_gt:], y[n_gt:])]
+            gt_off, det_off = scene.gt_offsets.tolist(), scene.det_offsets.tolist()
+            for f, t in enumerate(scene.t.tolist()):
+                gt_text = ",".join(gt[gt_off[f] : gt_off[f + 1]])
+                det_text = ",".join(det[det_off[f] : det_off[f + 1]])
+                fh.write(f'{{"det":[{det_text}],"gt":[{gt_text}],"scene":{scene_id},"t":{t}}}\n')
+
+
+# How ``json.dumps`` writes the floats whose ``repr`` is not JSON.
+_JSON_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_floats(values: np.ndarray, finite: bool) -> list[str]:
+    """Each value's text as ``json.dumps`` writes a float: its ``repr``, or ``NaN``, ``Infinity``, ``-Infinity``.
+
+    ``finite`` may be True only if every value is finite.
+    """
+    text = list(map(repr, values.tolist()))
+    return text if finite else [_JSON_CONSTANTS.get(value, value) for value in text]
 
 
 def _check_values(scene_id, t, ids: list, occ: list, coords: tuple[list, ...]) -> None:
@@ -319,17 +355,8 @@ def _parse_rows(
 
     Line numbers count from 1 at the start of the range.
     """
-    line_of_row: list[int] = []
-    scene_of_row: list[int] = []
-    t_of_row: list[int] = []
-    gt_counts: list[int] = []
-    det_counts: list[int] = []
-    gt_id: list[int] = []
-    gt_x: list[float] = []
-    gt_y: list[float] = []
-    gt_occ: list[int] = []
-    det_x: list[float] = []
-    det_y: list[float] = []
+    line_of_row, scene_of_row, t_of_row, gt_counts, det_counts, gt_id, gt_occ = (array("q") for _ in range(7))
+    gt_x, gt_y, det_x, det_y = (array("d") for _ in range(4))
     error = None
     lineno = 0
     lines = enumerate(_lines(path, *span), start=1)
@@ -343,7 +370,7 @@ def _parse_rows(
             continue
         try:
             row = json.loads(line)
-        except ValueError as exc:  # also integer literals beyond the interpreter's digit limit
+        except (ValueError, RecursionError) as exc:  # also integers beyond the digit limit, and deep nesting
             error = (lineno, f"not valid JSON: {exc}")
             break
         try:
@@ -366,27 +393,27 @@ def _parse_rows(
         t_of_row.append(t)
         gt_counts.append(len(ids))
         det_counts.append(len(dx))
-        gt_id += ids
-        gt_x += gx
-        gt_y += gy
-        gt_occ += occ
-        det_x += dx
-        det_y += dy
+        gt_id.fromlist(ids)
+        gt_x.fromlist(gx)
+        gt_y.fromlist(gy)
+        gt_occ.fromlist(occ)
+        det_x.fromlist(dx)
+        det_y.fromlist(dy)
     for lineno, _ in lines:  # a bad row's piece still counts its lines, which number the next piece's
         pass
 
     gt_r, gt_theta = polar_from_xy_arrays(gt_x, gt_y)
     det_r, det_theta = polar_from_xy_arrays(det_x, det_y)
     columns = dict(
-        line=np.array(line_of_row, dtype=np.int64),
-        scene=np.array(scene_of_row, dtype=np.int64),
-        t=np.array(t_of_row, dtype=np.int64),
-        gt_counts=np.array(gt_counts, dtype=np.int64),
-        det_counts=np.array(det_counts, dtype=np.int64),
-        gt_id=np.array(gt_id, dtype=np.int64),
+        line=_numpy(line_of_row),
+        scene=_numpy(scene_of_row),
+        t=_numpy(t_of_row),
+        gt_counts=_numpy(gt_counts),
+        det_counts=_numpy(det_counts),
+        gt_id=_numpy(gt_id),
         gt_r=gt_r,
         gt_theta=gt_theta,
-        gt_occ=np.array(gt_occ, dtype=np.int64),
+        gt_occ=_numpy(gt_occ),
         det_r=det_r,
         det_theta=det_theta,
     )

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checks import require_object
+from .checks import read_json, require_object
 from .geometry import (
     N_OCCLUSION_LEVELS,
     Condition,
@@ -261,7 +261,7 @@ def save_model(model: PemModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> PemModel:
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"not valid JSON: {exc}") from exc
+        doc = read_json(path)
+    except ValueError as exc:
+        raise ModelFormatError(str(exc)) from exc
     return model_from_dict(doc)

@@ -80,6 +80,8 @@ def parse_request(line: bytes | str) -> dict:
         raise ProtocolError(ERR_MALFORMED, "line is not valid JSON")
     except ValueError:  # an integer literal longer than the interpreter's digit limit (4300 by default)
         raise ProtocolError(ERR_MALFORMED, "line holds an integer too long to decode")
+    except RecursionError:
+        raise ProtocolError(ERR_MALFORMED, "line is nested too deeply to decode")
     if not isinstance(msg, dict) or "type" not in msg:
         raise ProtocolError(ERR_MALFORMED, "request must be an object with a type field")
     kind = msg["type"]

@@ -408,7 +408,7 @@ def load_runlog(path: str | Path) -> RunLog:
             else:
                 for key in _RUNLOG_KEYS["outcome"]:
                     setattr(log, key, doc[key])
-        except (TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+        except (TypeError, ValueError, RecursionError) as exc:  # json.JSONDecodeError is a ValueError
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
     if log is None:
         raise ValueError(f"{path} contains no meta line")

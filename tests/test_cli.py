@@ -5,6 +5,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -762,3 +763,66 @@ def test_report_of_a_list_is_a_data_error(tmp_path, capsys):
 def test_outputs_reject_non_finite_values():
     with pytest.raises(ValueError, match="not JSON compliant"):
         cli._canonical_json({"fraction": float("nan")})
+
+
+def test_learn_from_a_named_pipe_records_no_input_hash(dataset_path, tmp_path):
+    """A pipe is read once; the manifest records null for it instead of reading it again."""
+    fifo = tmp_path / "dataset.fifo"
+    os.mkfifo(fifo)
+    data = dataset_path.read_bytes()
+
+    def write():
+        with open(fifo, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    out = tmp_path / "out"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pemkit.cli", "learn", "--dataset", str(fifo), "--out", str(out / "model.json"),
+             "--sector-deg", "90", "--ring-depth-m", "10", "--max-radius-m", "20"],
+            capture_output=True, text=True, timeout=120,
+        )
+    finally:
+        os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))  # frees the writer if learn never opened the pipe
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert json.loads((out / "manifest.json").read_text())["inputs"] == {str(fifo): None}
+    regular = tmp_path / "regular"
+    assert main(["learn", "--dataset", str(dataset_path), "--out", str(regular / "model.json"),
+                 "--sector-deg", "90", "--ring-depth-m", "10", "--max-radius-m", "20"]) == EXIT_OK
+    assert (out / "model.json").read_bytes() == (regular / "model.json").read_bytes()
+
+
+DEEP = "[" * 100_000
+
+
+def test_learn_on_a_deeply_nested_line_is_a_data_error_naming_its_line(dataset_path, tmp_path, capsys):
+    lines = dataset_path.read_text().splitlines(keepends=True)
+    bad = tmp_path / "deep.jsonl"
+    bad.write_text("".join(lines[:2]) + DEEP + "\n" + "".join(lines[2:]))
+    assert main(["learn", "--dataset", str(bad), "--out", str(tmp_path / "out" / "m.json")]) == EXIT_DATA
+    assert "line 3: not valid JSON: maximum recursion depth exceeded" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["config", "model", "report", "policy", "scenario"])
+def test_deeply_nested_json_file_is_a_data_error_naming_the_file(tmp_path, capsys, kind):
+    deep = tmp_path / ("report.json" if kind == "report" else "deep.json")
+    deep.write_text(DEEP)
+    model_path = tmp_path / "m.json"
+    save_model(perfect_model(), model_path)
+    out = tmp_path / "out"
+    simulate = ["simulate", "--model", f"m={model_path}", "--runs", "1", "--out-dir", str(out)]
+    argv = {
+        "config": ["--config", str(deep), "learn"],
+        "model": ["inspect", "--model", str(deep), "--out-dir", str(out)],
+        "report": ["report", "--run-dir", str(tmp_path), "--out-dir", str(out)],
+        "policy": [*simulate, "--scenario", "TC1", "--policy", str(deep)],
+        "scenario": [*simulate, "--scenario", str(deep)],
+    }[kind]
+    assert main(argv) == EXIT_DATA
+    assert f"{deep}: not valid JSON: maximum recursion depth exceeded" in capsys.readouterr().err
+    assert not out.exists()

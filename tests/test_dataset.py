@@ -14,7 +14,7 @@ from pemkit import (
     load_dataset,
     save_dataset,
 )
-from pemkit.dataset import DatasetFormatError, Frame
+from pemkit.dataset import DatasetBuilder, DatasetFormatError, Frame
 
 GRID = GridSpec(sector_width_deg=90.0, ring_depth_m=10.0, max_radius_m=20.0)
 
@@ -145,6 +145,31 @@ def test_scene_objects_round_trip_through_columns():
     assert back[0].frames[0] == Frame([obj], [PolarCoord(3.5, 0.2)], 0)
     assert back[1].frames == []
     assert [o.id for o in back[2].frames[0].gt] == [7, 1]
+
+
+@pytest.mark.parametrize(
+    "gt, error",
+    [
+        ([(1, 2.0, 0.5, 3), (2**63, 3.0, 0.5, 3)], OverflowError),  # an id beyond 64 bits
+        ([(1, 2.0, 0.5, 3), (2.0, 3.0, 0.5, 3)], TypeError),  # a float id is not truncated
+        ([(1, 2.0, 0.5, 3), (2, "3", 0.5, 3)], TypeError),
+        ([(1, 2.0, 0.5, 3), (2, 3.0, 0.5)], ValueError),  # a tuple without its level
+    ],
+    ids=["id-overflow", "float-id", "string-r", "short-tuple"],
+)
+def test_a_frame_that_does_not_fit_leaves_the_builder_unchanged(gt, error):
+    builder = DatasetBuilder()
+    builder.add_scene(0)
+    builder.add_frame([(7, 1.0, 0.25, 2)], [(1.5, 0.2)])
+    with pytest.raises(error):
+        builder.add_frame(gt, [(2.5, 0.3)], t=4)
+    builder.add_frame([], [(3.5, 0.1)], t=5)
+    ds = builder.build()
+    assert ds.t.tolist() == [0, 5]
+    assert ds.gt_id.tolist() == [7] and ds.gt_occ.tolist() == [2] and ds.gt_r.tolist() == [1.0]
+    assert ds.det_r.tolist() == [1.5, 3.5] and ds.det_theta.tolist() == [0.2, 0.1]
+    assert ds.gt_offsets.tolist() == [0, 1, 1] and ds.det_offsets.tolist() == [0, 1, 2]
+    assert ds.scene_ids.tolist() == [0] and ds.scene_offsets.tolist() == [0, 2]
 
 
 def test_in_memory_frame_times_must_increase():

@@ -282,6 +282,24 @@ def test_huge_integer_coordinates_are_malformed_and_session_survives(server, obj
         assert client.exchange_raw(frame0) == expected
 
 
+@pytest.mark.parametrize(
+    "line",
+    [b"[" * 100_000 + b"\n", b'{"type":"frame","t":0,"objects":' + b'[{"x":' * 50_000 + b"\n"],
+    ids=["bare-arrays", "inside-a-frame"],
+)
+def test_deeply_nested_line_is_malformed_and_session_survives(server, line):
+    """A line nested deeper than the decoder's stack gets a malformed reply; the session goes on."""
+    frame0 = protocol.encode(protocol.frame_msg(0, OBJS))
+    with client_for(server) as fresh:
+        fresh.init("m", 5)
+        expected = fresh.exchange_raw(frame0)
+    with client_for(server) as client:
+        client.init("m", 5)
+        reply = json.loads(client.exchange_raw(line))
+        assert reply == {"type": "error", "code": "malformed", "message": "line is nested too deeply to decode"}
+        assert client.exchange_raw(frame0) == expected
+
+
 def test_duplicate_id_reply_names_first_repeated_id(server):
     objs = [{"id": i, "x": 1.0 + i, "y": 10.0, "occ": 3} for i in (1, 2, 2, 1)]
     with client_for(server) as client:

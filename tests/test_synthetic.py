@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pemkit import (
+    ErrorDistribution,
     GridSpec,
     PemModel,
+    PerceptionDataset,
     SyntheticDatasetConfig,
     TransitionMatrix,
     accumulate_stats,
@@ -111,3 +115,23 @@ def test_config_validation():
         SyntheticDatasetConfig(true_model=perfect_model(GRID), motion="teleport")
     with pytest.raises(ValueError):
         SyntheticDatasetConfig(true_model=perfect_model(GRID), occlusion_levels=())
+
+
+def test_synthesis_holds_about_one_copy_of_its_columns():
+    """The traced peak of ``synthesize_dataset`` on 12,000 objects stays within twice its columns' bytes.
+
+    Builder columns kept as Python lists (32 bytes a float) peaked at 4.0x on this config: 2.13 MB for
+    0.53 MB of columns. Typed columns that NumPy takes over uncopied peak at about 1.2x.
+    """
+    truth = PemModel.uniform(GRID, TransitionMatrix(0.4, 0.85), ErrorDistribution(1.02, 0.0, 0.03, 0.02, 0.1))
+    cfg = SyntheticDatasetConfig(true_model=truth, n_scenes=10, frames_per_scene=50, objects_per_scene=24, seed=7)
+    synthesize_dataset(SyntheticDatasetConfig(true_model=truth, n_scenes=1, frames_per_scene=2, objects_per_scene=2))
+    tracemalloc.start()
+    try:
+        ds = synthesize_dataset(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ds.gt_id) == 12_000
+    column_bytes = sum(getattr(ds, name).nbytes for name in PerceptionDataset.__slots__)
+    assert peak <= 2 * column_bytes, (peak, column_bytes)
