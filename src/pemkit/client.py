@@ -22,6 +22,17 @@ class ServerGone(ConnectionError):
     """The connection dropped mid-exchange."""
 
 
+def decode_reply(line: bytes) -> dict:
+    """A reply line as an object; an error reply raises RemoteError, and a line that is no JSON object ValueError."""
+    try:
+        reply = require(json.loads(line), "server reply", dict)
+    except RecursionError:
+        raise ValueError("server reply is nested too deeply to decode") from None
+    if reply.get("type") == "error":
+        raise RemoteError(reply.get("code", "?"), reply.get("message", ""))
+    return reply
+
+
 class PemClient:
     def __init__(self, host: str, port: int, timeout: float = 30.0):
         self._sock = socket.create_connection((host, port), timeout=timeout)
@@ -48,14 +59,7 @@ class PemClient:
         return reply
 
     def request(self, msg: dict) -> dict:
-        line = self.exchange_raw(protocol.encode(msg))
-        try:
-            reply = require(json.loads(line), "server reply", dict)
-        except RecursionError:
-            raise ValueError("server reply is nested too deeply to decode") from None
-        if reply.get("type") == "error":
-            raise RemoteError(reply.get("code", "?"), reply.get("message", ""))
-        return reply
+        return decode_reply(self.exchange_raw(protocol.encode(msg)))
 
     def init(self, model: str, seed: int, rate_hz: float = 2.0) -> dict:
         return self.request(protocol.init_msg(model, seed, rate_hz))

@@ -32,10 +32,12 @@ never one Python object per position.
 Building (``DatasetBuilder``, behind ``synthesize_dataset`` and
 ``PerceptionDataset(scenes)``) and loading also hold 8 bytes a value: ids,
 levels and times in ``array("q")``, positions in ``array("d")``, grown once
-per frame and handed to NumPy without a copy. ``save_dataset`` converts and
-writes one scene at a time; each line is exactly the text of
-``json.dumps(row, sort_keys=True, separators=(",", ":"))``: ``int.__repr__``,
-``float.__repr__``, and ``NaN`` / ``Infinity`` / ``-Infinity``.
+per frame and handed to NumPy without a copy. Every position is finite: the
+builder and ``PerceptionDataset.from_columns`` reject a NaN or infinite r or
+theta, so whatever ``save_dataset`` writes loads back. ``save_dataset``
+converts and writes one scene at a time; each line is exactly the text of
+``json.dumps(row, sort_keys=True, separators=(",", ":"))``: ``int.__repr__``
+and ``float.__repr__``.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from array import array
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import partial
+from math import inf, isfinite
 from pathlib import Path
 
 import numpy as np
@@ -122,8 +125,9 @@ class DatasetBuilder:
     ) -> None:
         """Append a frame to the current scene: ground truth as (id, r, theta, occ), detections as (r, theta).
 
-        The whole frame is converted before any column grows, so a value that does not fit its column
-        (a float id, an id beyond 64 bits) raises and leaves the builder unchanged.
+        The whole frame is converted and checked before any column grows, so a value that does not fit
+        its column (a float id, an id beyond 64 bits) or a NaN or infinite position raises and leaves the
+        builder unchanged.
         """
         if t is None:
             t = self.scene_frames[-1]
@@ -133,6 +137,10 @@ class DatasetBuilder:
         det_r, det_theta = zip(*det, strict=True) if det else ((),) * 2
         new = (array("q", (t,)), array("q", gt_id), array("d", gt_r), array("d", gt_theta), array("q", gt_occ),
                array("d", det_r), array("d", det_theta))
+        for name, values in zip(("gt.r", "gt.theta", "det.r", "det.theta"), new[2:4] + new[5:]):
+            if not isfinite(sum(values)):  # a non-finite value, or finite ones whose sum overflows
+                for value in values:
+                    require(value, name, float)
         columns = (self.t, self.gt_id, self.gt_r, self.gt_theta, self.gt_occ, self.det_r, self.det_theta)
         for column, values in zip(columns, new):
             column.extend(values)
@@ -190,6 +198,11 @@ class PerceptionDataset:
 
     @classmethod
     def from_columns(cls, columns: dict[str, np.ndarray]) -> "PerceptionDataset":
+        """A dataset over ``columns``, uncopied; a NaN or infinite position raises ValueError naming its column."""
+        for name in ("gt_r", "gt_theta", "det_r", "det_theta"):
+            values = columns[name]
+            if not np.isfinite(values).all():
+                require(float(values[np.argmin(np.isfinite(values))]), name, float)
         dataset = cls.__new__(cls)
         dataset._set_columns(columns)
         return dataset
@@ -243,13 +256,12 @@ def save_dataset(dataset: PerceptionDataset, path: str | Path) -> None:
 
     Each line is the text of ``json.dumps(row, sort_keys=True, separators=(",", ":"))``.
     """
-    # x and y are finite wherever r and theta are, so only a non-finite polar value can need a JSON constant.
-    finite = all(np.isfinite(getattr(dataset, name)).all() for name in ("gt_r", "gt_theta", "det_r", "det_theta"))
     with Path(path).open("w", encoding="utf-8") as fh:
         for s, scene_id in enumerate(dataset.scene_ids.tolist()):
             scene = dataset.scene_range(s, s + 1)
             r, theta = np.concatenate((scene.gt_r, scene.det_r)), np.concatenate((scene.gt_theta, scene.det_theta))
-            x, y = (_json_floats(v, finite) for v in xy_from_polar_arrays(r, theta))  # ground truth, then detections
+            # r and theta are finite (from_columns), so x and y are, and repr writes them as json.dumps does.
+            x, y = (list(map(repr, v.tolist())) for v in xy_from_polar_arrays(r, theta))  # ground truth, then detections
             ids, occ, n_gt = scene.gt_id.tolist(), scene.gt_occ.tolist(), len(scene.gt_id)
             gt = [f'{{"id":{i},"occ":{o},"x":{gx},"y":{gy}}}' for i, o, gx, gy in zip(ids, occ, x, y)]
             det = [f'{{"x":{dx},"y":{dy}}}' for dx, dy in zip(x[n_gt:], y[n_gt:])]
@@ -258,19 +270,6 @@ def save_dataset(dataset: PerceptionDataset, path: str | Path) -> None:
                 gt_text = ",".join(gt[gt_off[f] : gt_off[f + 1]])
                 det_text = ",".join(det[det_off[f] : det_off[f + 1]])
                 fh.write(f'{{"det":[{det_text}],"gt":[{gt_text}],"scene":{scene_id},"t":{t}}}\n')
-
-
-# How ``json.dumps`` writes the floats whose ``repr`` is not JSON.
-_JSON_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_floats(values: np.ndarray, finite: bool) -> list[str]:
-    """Each value's text as ``json.dumps`` writes a float: its ``repr``, or ``NaN``, ``Infinity``, ``-Infinity``.
-
-    ``finite`` may be True only if every value is finite.
-    """
-    text = list(map(repr, values.tolist()))
-    return text if finite else [_JSON_CONSTANTS.get(value, value) for value in text]
 
 
 def _check_values(scene_id, t, ids: list, occ: list, coords: tuple[list, ...]) -> None:
@@ -319,33 +318,67 @@ def load_dataset(path: str | Path, jobs: int = 1) -> PerceptionDataset:
     return _join_rows(fork_map(partial(_parse_rows, path), ranges, jobs))
 
 
+# Most bytes one read takes. A line longer than this, or a run of lines that
+# end in a lone \r (which readline does not stop at), is read in such pieces.
+READ_BYTES = 1 << 16
+
+
 def _byte_ranges(fh: io.BufferedIOBase, size: int, parts: int) -> list[tuple[int, int | None]]:
     r"""(start, stop) of up to ``parts`` ranges of a ``size``-byte file, the last to EOF (None), cut after line ends.
 
-    A line ends at ``\n``, ``\r\n`` or a lone ``\r``, as in text mode; no cut falls between ``\r`` and ``\n``.
+    A line end is ``\n``, ``\r\n`` or a lone ``\r``, as in text mode; no cut falls between ``\r`` and ``\n``.
     """
     cuts = [0]
     for k in range(1, parts):
-        start = max(k * size // parts, cuts[-1])
-        fh.seek(start)
-        end = re.search(rb"\r\n?|\n", fh.readline())  # readline stops after a \n, so \r\n is never split
-        if end is None or start + end.end() >= size:
+        end = _line_end(fh, max(k * size // parts, cuts[-1]))
+        if end is None or end >= size:
             break
-        cuts.append(start + end.end())
+        cuts.append(end)
     return list(zip(cuts, cuts[1:] + [None]))
+
+
+def _line_end(fh: io.BufferedIOBase, pos: int) -> int | None:
+    r"""The offset just after the first line end at or after byte ``pos``, None if none; read ``READ_BYTES`` at a time."""
+    fh.seek(pos)
+    while chunk := fh.readline(READ_BYTES):
+        end = re.search(rb"\r\n?|\n", chunk)
+        if end is not None:
+            # A \r that ends a piece may be the first half of a \r\n.
+            split = end.group() == b"\r" and end.end() == len(chunk) and fh.read(1) == b"\n"
+            return pos + end.end() + split
+        pos += len(chunk)
+    return None
 
 
 def _lines(path: str | Path, start: int, stop: int | None) -> Iterator[bytes]:
     r"""The lines from byte ``start`` to ``stop`` (None: EOF), ``\r\n`` and ``\r`` read as ``\n`` as in text mode.
 
     A range that starts at 0 is read without a seek, so a pipe can be read.
+    Each read takes at most ``READ_BYTES``, so lines that end in a lone
+    ``\r`` are read a piece at a time, not as one whole range.
     """
+    text_mode = lambda raw: raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n").splitlines(keepends=True)
+    head: list[bytes] = []  # a line read in part: its end, or the \n after its \r, is still to come
+    left = inf if stop is None else stop - start
     with open(path, "rb") as fh:
         if start:
             fh.seek(start)
-        while chunk := fh.readline(-1 if stop is None else stop - start):
-            start += len(chunk)
-            yield from chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n").splitlines(keepends=True)
+        while chunk := fh.readline(min(READ_BYTES, left)):
+            left -= len(chunk)
+            # A piece that readline did not end at a \n holds none; it ends lines at each \r
+            # but a last one, which may be the first half of a \r\n.
+            cut = len(chunk) if chunk[-1] == 10 else chunk.rfind(b"\r", 0, -1) + 1
+            if not cut:
+                head.append(chunk)
+                continue
+            if head:
+                yield from text_mode(b"".join(head) + chunk[:cut])
+                head.clear()
+            else:
+                yield from text_mode(chunk[:cut])
+            if cut < len(chunk):
+                head.append(chunk[cut:])
+    yield from text_mode(b"".join(head))
 
 
 def _parse_rows(
@@ -404,6 +437,13 @@ def _parse_rows(
 
     gt_r, gt_theta = polar_from_xy_arrays(gt_x, gt_y)
     det_r, det_theta = polar_from_xy_arrays(det_x, det_y)
+    overflows = [  # the line of the first row whose finite x and y have a range beyond the float range
+        line_of_row[int(np.searchsorted(np.cumsum(counts), np.argmin(np.isfinite(r)), side="right"))]
+        for r, counts in ((gt_r, gt_counts), (det_r, det_counts))
+        if not np.isfinite(r).all()
+    ]
+    if overflows:
+        error = (min(overflows), "a position's range overflows a float")
     columns = dict(
         line=_numpy(line_of_row),
         scene=_numpy(scene_of_row),

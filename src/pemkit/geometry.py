@@ -197,8 +197,10 @@ def cell_of(
 ) -> tuple[int, int] | None:
     """(ring, sector) containing a position, or None when r >= max_radius, on a grid's plain numbers.
 
-    The one scalar bin lookup: ``condition_of`` calls it, and the injector
-    calls it with the grid's numbers read once per frame.
+    The scalar bin lookup behind ``condition_of`` and ``inject.perceive``.
+    ``inject.InjectorSession`` writes the same arithmetic inline in its
+    one-pass conversion, and ``tests/test_inject_equivalence`` holds it to
+    ``condition_of``.
     """
     if r >= max_radius_m:
         return None

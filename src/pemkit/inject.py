@@ -3,8 +3,10 @@
 Each object carries a binary detection state v that evolves as a two-state
 Markov chain per condition; detected objects get a bivariate Gaussian error
 on range ratio and bearing. One loop, ``perceive``, applies this rule to plain
-``(id, r, theta, occ)`` tuples; ``InjectorSession`` (serve and simulate) and
-``synthesize_dataset`` call it, and ``apply_pem`` is its object form.
+``(id, r, theta, occ)`` tuples; ``synthesize_dataset`` calls it, and
+``apply_pem`` is its object form. ``InjectorSession`` (serve and simulate)
+takes each Cartesian object to ``(id, r, theta, cell)`` in one pass and hands
+``perceive`` those.
 
 Random-number consumption is fixed so that two processes running the same
 model, world sequence, and seed produce identical perceived sequences:
@@ -20,11 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import N_OCCLUSION_LEVELS, OcclusionLevel, PolarCoord, cartesian, cell_of, polar, wrap_angle
+from .geometry import N_OCCLUSION_LEVELS, TWO_PI, GridSpec, OcclusionLevel, PolarCoord, cell_of, polar
 from .model import PARAM_NAMES, PemModel
 
 # Perceived range is clamped here; a Gaussian radial ratio can go non-positive.
 MIN_PERCEIVED_RANGE_M = 0.01
+_HALF_PI = 0.5 * math.pi  # geometry.polar's bearing offset
 
 
 class DuplicateIdError(ValueError):
@@ -71,12 +74,18 @@ def param_lists(model: PemModel) -> tuple[list[float], ...]:
     return tuple(getattr(model, name).tolist() for name in PARAM_NAMES)
 
 
+def _bins(grid: GridSpec) -> tuple[float, float, int, float, int]:
+    """The grid's numbers in ``geometry.cell_of``'s order: max radius, ring depth, rings, sector width, sectors."""
+    return grid.max_radius_m, grid.ring_depth_m, grid.n_rings, grid.sector_width_rad, grid.n_sectors
+
+
 def perceive(
     model: PemModel,
     world: list[tuple[int, float, float, int]],
     tracks: dict[int, int],
     rng: np.random.Generator,
     params: tuple[list[float], ...] | None = None,
+    resolved: bool = False,
 ) -> tuple[list[tuple[int, float, float]], dict[int, int]]:
     """Process one frame of (id, r, theta, occ): step every object's chain and emit the detected ones.
 
@@ -88,38 +97,49 @@ def perceive(
     appears first, and an invalid position or occlusion level raises
     ValueError; both before any draw. ``params`` is ``param_lists(model)``,
     built here when not given.
+
+    With ``resolved``, each entry is (id, r, theta, cell) instead, from a
+    caller that has checked every position and level: ``cell`` is the
+    condition index, or -1 outside the grid, where r and theta go unread.
     """
-    ids = [obj[0] for obj in world]
-    if len(ids) != len(set(ids)):
-        dup = next(i for i, n in Counter(ids).items() if n > 1)  # the repeated id seen first
+    if len({obj[0] for obj in world}) != len(world):
+        dup = next(i for i, n in Counter(obj[0] for obj in world).items() if n > 1)  # the repeated id seen first
         raise DuplicateIdError(f"duplicate object id {dup}")
-    grid = model.grid
-    n_rings, n_sectors = grid.n_rings, grid.n_sectors
-    bins = (grid.max_radius_m, grid.ring_depth_m, n_rings, grid.sector_width_rad, n_sectors)
-    cells = []  # condition_of(PolarCoord(r, theta), OcclusionLevel(occ), grid) as an index, -1 outside the grid
-    for _, r, theta, occ in world:
-        if not (r >= 0.0 and -math.pi < theta <= math.pi):
-            PolarCoord(r, theta)  # raises PolarCoord's error; a NaN range passes its check
-        if type(occ) is not int or not 0 <= occ < N_OCCLUSION_LEVELS:
-            occ = int(OcclusionLevel(occ))
-        cell = cell_of(r, theta, *bins)
-        cells.append(-1 if cell is None else (occ * n_rings + cell[0]) * n_sectors + cell[1])
+    if not resolved:
+        checked = []
+        bins = _bins(model.grid)
+        n_rings, n_sectors = bins[2], bins[4]
+        for oid, r, theta, occ in world:
+            if not (r >= 0.0 and -math.pi < theta <= math.pi):
+                PolarCoord(r, theta)  # raises PolarCoord's error; a NaN range passes its check
+            if type(occ) is not int or not 0 <= occ < N_OCCLUSION_LEVELS:
+                occ = int(OcclusionLevel(occ))
+            cell = cell_of(r, theta, *bins)  # condition_of as an index, -1 outside the grid
+            checked.append((oid, r, theta, -1 if cell is None else (occ * n_rings + cell[0]) * n_sectors + cell[1]))
+        world = checked
     a01, a11, mu_r, mu_theta, sigma_r, sigma_theta, rho = param_lists(model) if params is None else params
+    random, normal, was_detected = rng.random, rng.standard_normal, tracks.get
+    sqrt, fmod, pi = math.sqrt, math.fmod, math.pi
 
     perceived: list[tuple[int, float, float]] = []
     new_tracks: dict[int, int] = {}
-    for (oid, r, theta, _), i in zip(world, cells):
+    for oid, r, theta, i in world:
         if i < 0:
             new_tracks[oid] = 0
             continue
-        p_detect = a11[i] if tracks.get(oid, 0) else a01[i]
-        detected = new_tracks[oid] = 1 if rng.random() < p_detect else 0
+        p_detect = a11[i] if was_detected(oid, 0) else a01[i]
+        detected = new_tracks[oid] = 1 if random() < p_detect else 0
         if detected:
-            z0, z1 = rng.standard_normal(2).tolist()
+            z0, z1 = normal(2).tolist()
             c = rho[i]
             eps_r = mu_r[i] + sigma_r[i] * z0
-            eps_theta = mu_theta[i] + sigma_theta[i] * (c * z0 + math.sqrt(1.0 - c * c) * z1)
-            perceived.append((oid, max(r * eps_r, MIN_PERCEIVED_RANGE_M), wrap_angle(theta + eps_theta)))
+            eps_theta = mu_theta[i] + sigma_theta[i] * (c * z0 + sqrt(1.0 - c * c) * z1)
+            theta = fmod(theta + eps_theta, TWO_PI)  # wrap_angle, inlined
+            if theta > pi:
+                theta -= TWO_PI
+            elif theta <= -pi:
+                theta += TWO_PI
+            perceived.append((oid, max(r * eps_r, MIN_PERCEIVED_RANGE_M), theta))
     return perceived, new_tracks
 
 
@@ -145,6 +165,7 @@ class InjectorSession:
     def __init__(self, model: PemModel, seed: int):
         self.model = model
         self.params = param_lists(model)
+        self.bins = _bins(model.grid)
         self.seed = seed
         self.reset_count = -1
         self.reset()
@@ -160,12 +181,50 @@ class InjectorSession:
         """Perceive one frame of (id, x, y, occ); returns (source_id, x, y) in object order."""
         if self.last_t is not None and t <= self.last_t:
             raise TimeRegressionError(f"frame t {t} not greater than {self.last_t}")
+        world = self._resolve(objects)
+        if world is not None:
+            perceived, self.tracks = perceive(self.model, world, self.tracks, self.rng, self.params, resolved=True)
+        else:  # the checked path: every error, and which of several wins, is polar's and perceive's
+            world = []
+            for oid, x, y, occ in objects:
+                r, theta = polar(x, y)
+                if theta != theta:  # a NaN coordinate fails here, before the duplicate-id check
+                    PolarCoord(r, theta)
+                world.append((oid, r, theta, occ))
+            perceived, self.tracks = perceive(self.model, world, self.tracks, self.rng, self.params)
+        self.last_t = t
+        sin, cos = math.sin, math.cos
+        return [(oid, -r * sin(theta), r * cos(theta)) for oid, r, theta in perceived]  # geometry.cartesian
+
+    def _resolve(self, objects: list[tuple[int, float, float, int]]) -> list[tuple[int, float, float, int]] | None:
+        """(id, r, theta, cell) per (id, x, y, occ) in one pass, for ``perceive(..., resolved=True)``.
+
+        The arithmetic is ``geometry.polar``'s and ``geometry.cell_of``'s; an object outside the
+        grid skips the bearing. None if an object has a non-finite position or a level that is not
+        a plain int in range.
+        """
+        max_r, depth, n_rings, width, n_sectors = self.bins
+        hypot, atan2, fmod, pi = math.hypot, math.atan2, math.fmod, math.pi
         world = []
         for oid, x, y, occ in objects:
-            r, theta = polar(x, y)
-            if theta != theta:  # a NaN coordinate fails here, before the duplicate-id check
-                PolarCoord(r, theta)
-            world.append((oid, r, theta, occ))
-        perceived, self.tracks = perceive(self.model, world, self.tracks, self.rng, self.params)
-        self.last_t = t
-        return [(oid, *cartesian(r, theta)) for oid, r, theta in perceived]
+            if type(occ) is not int or not 0 <= occ < N_OCCLUSION_LEVELS:
+                return None
+            r = hypot(x, y)
+            if r < max_r:
+                theta = fmod(atan2(y, x) - _HALF_PI, TWO_PI)
+                if theta > pi:
+                    theta -= TWO_PI
+                elif theta <= -pi:
+                    theta += TWO_PI
+                ring = int(r // depth)
+                sector = int(theta % TWO_PI // width)
+                if ring >= n_rings:
+                    ring = n_rings - 1
+                if sector >= n_sectors:  # a float edge at 2 pi
+                    sector = n_sectors - 1
+                world.append((oid, r, theta, (occ * n_rings + ring) * n_sectors + sector))
+            elif r - r == 0.0:  # finite, so is the bearing
+                world.append((oid, r, 0.0, -1))
+            else:
+                return None
+        return world

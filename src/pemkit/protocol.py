@@ -3,11 +3,19 @@
 One JSON document per newline-terminated UTF-8 line. Requests are init /
 frame / reset / shutdown; replies are response / error / ack. Encoding is
 canonical (sorted keys, no whitespace) so a given reply is byte-stable.
+
+``encode`` writes any message through ``json.dumps``. The two per-frame
+lines, a frame (``frame_line``, the client's) and a response
+(``response_line``, the server's), are written directly with ``int.__repr__``
+and ``float.__repr__``, in the same canonical form: for finite coordinates
+each is byte for byte ``encode`` of the same message. ``tests/test_wire_bytes``
+pins that against an oracle for thousands of frames.
 """
 
 from __future__ import annotations
 
 import json
+from math import isfinite
 
 from .checks import is_int, is_number
 from .geometry import N_OCCLUSION_LEVELS
@@ -32,6 +40,28 @@ class ProtocolError(ValueError):
 
 def encode(msg: dict) -> bytes:
     return (json.dumps(msg, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+
+
+# One object of each per-frame line, keys in sorted order; %d writes an int as int.__repr__ does.
+_FRAME_OBJECT = '{"id":%d,"occ":%d,"x":%r,"y":%r}'
+_RESPONSE_OBJECT = '{"source_id":%d,"x":%r,"y":%r}'
+
+
+def frame_line(t: int, world: list[tuple[int, float, float, int]]) -> bytes:
+    """``encode(frame_msg(t, objects))`` for a world of (id, x, y, occ) with finite x and y, written directly."""
+    objects = ",".join([_FRAME_OBJECT % (oid, occ, x, y) for oid, x, y, occ in world])
+    return ('{"objects":[%s],"t":%d,"type":"frame"}\n' % (objects, t)).encode()
+
+
+def response_line(t: int, perceived: list[tuple[int, float, float]]) -> bytes:
+    """``encode(response_msg(t, objects))`` for perceived (source_id, x, y), written directly when every x and y is finite."""
+    objects = ",".join([_RESPONSE_OBJECT % obj for obj in perceived])
+    # repr writes a non-finite float as nan, inf or -inf where json writes NaN, Infinity or -Infinity.
+    # No other text of the objects holds an "n", so one scan finds them; only a model with
+    # overflowing parameters can perceive one.
+    if "n" in objects:
+        return encode(response_msg(t, [{"source_id": sid, "x": x, "y": y} for sid, x, y in perceived]))
+    return ('{"objects":[%s],"t":%d,"type":"response"}\n' % (objects, t)).encode()
 
 
 def error_msg(code: str, message: str) -> dict:
@@ -100,6 +130,21 @@ def parse_request(line: bytes | str) -> dict:
         if not isinstance(objects, list):
             raise ProtocolError(ERR_MALFORMED, "frame.objects must be a list")
         for obj in objects:
+            # Exact types first: an object that is not plainly valid meets the rules below, which name its fault.
+            try:
+                occ, x, y = obj["occ"], obj["x"], obj["y"]
+                if (
+                    type(obj["id"]) is int
+                    and type(occ) is int
+                    and 0 <= occ < N_OCCLUSION_LEVELS
+                    and type(x) is float
+                    and type(y) is float
+                    and isfinite(x)
+                    and isfinite(y)
+                ):
+                    continue
+            except (KeyError, TypeError):
+                pass
             if not isinstance(obj, dict):
                 raise ProtocolError(ERR_MALFORMED, "frame object must be an object")
             if not is_int(obj.get("id")):

@@ -19,6 +19,7 @@ import socket
 import sys
 import threading
 import traceback
+from operator import itemgetter
 
 from . import protocol
 from .inject import DuplicateIdError, InjectorSession, TimeRegressionError
@@ -29,6 +30,7 @@ from .model import PemModel
 MAX_LINE_BYTES = 1 << 20
 # Unsent reply bytes past which a connection's requests are left unread.
 MAX_PENDING_BYTES = 1 << 20
+_OBJECT_FIELDS = itemgetter("id", "x", "y", "occ")  # a frame object as InjectorSession.frame reads it
 _OVERLONG = protocol.error_msg(protocol.ERR_MALFORMED, f"request line longer than {MAX_LINE_BYTES} bytes")
 
 
@@ -39,27 +41,28 @@ class Session:
         self._models = models
         self.injector: InjectorSession | None = None
 
-    def handle(self, msg: dict) -> dict:
+    def handle(self, msg: dict) -> bytes:
+        """The reply line to a request that ``protocol.parse_request`` accepted."""
         kind = msg["type"]
+        if kind == "frame" and self.injector is not None:
+            try:
+                perceived = self.injector.frame(msg["t"], list(map(_OBJECT_FIELDS, msg["objects"])))
+            except TimeRegressionError as exc:
+                return protocol.encode(protocol.error_msg(protocol.ERR_TIME_REGRESSION, str(exc)))
+            except DuplicateIdError as exc:
+                return protocol.encode(protocol.error_msg(protocol.ERR_DUPLICATE_ID, str(exc)))
+            return protocol.response_line(msg["t"], perceived)
         if kind == "init":
             name = msg["model"]
             if name not in self._models:
-                return protocol.error_msg(protocol.ERR_UNKNOWN_MODEL, f"no model named {name!r}")
+                return protocol.encode(protocol.error_msg(protocol.ERR_UNKNOWN_MODEL, f"no model named {name!r}"))
             self.injector = InjectorSession(self._models[name], msg["seed"])
-            return protocol.ack_msg("init")
+            return protocol.encode(protocol.ack_msg("init"))
         if self.injector is None:
-            return protocol.error_msg(protocol.ERR_NOT_INITIALIZED, f"{kind} before init")
+            return protocol.encode(protocol.error_msg(protocol.ERR_NOT_INITIALIZED, f"{kind} before init"))
         if kind == "reset":
             self.injector.reset()
-            return protocol.ack_msg("reset")
-        if kind == "frame":
-            try:
-                perceived = self.injector.frame(msg["t"], [(o["id"], o["x"], o["y"], o["occ"]) for o in msg["objects"]])
-            except TimeRegressionError as exc:
-                return protocol.error_msg(protocol.ERR_TIME_REGRESSION, str(exc))
-            except DuplicateIdError as exc:
-                return protocol.error_msg(protocol.ERR_DUPLICATE_ID, str(exc))
-            return protocol.response_msg(msg["t"], [{"source_id": sid, "x": x, "y": y} for sid, x, y in perceived])
+            return protocol.encode(protocol.ack_msg("reset"))
         raise AssertionError(f"unroutable message {kind}")  # parse_request screens types
 
 
@@ -165,7 +168,7 @@ class _Connection:
             self.stops_server = True
             self.transport.close()
             return
-        self.transport.write(protocol.encode(self.session.handle(msg)))
+        self.transport.write(self.session.handle(msg))
 
 
 class PemServer:

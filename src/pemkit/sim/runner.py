@@ -18,8 +18,9 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .. import protocol
 from ..checks import require, require_each, require_object
-from ..client import PemClient, RemoteError, ServerGone
+from ..client import PemClient, RemoteError, ServerGone, decode_reply
 from ..geometry import OcclusionLevel
 from ..inject import InjectorSession
 from ..inject import apply_pem  # noqa: F401  kept resolvable: perfbench wraps runner.apply_pem
@@ -84,10 +85,10 @@ class RemoteSource:
             raise PerceptionUnavailable(f"init against {self.host}:{self.port} failed: {exc}") from exc
 
     def perceive(self, t: int, world: list[tuple[int, float, float, int]]) -> list[tuple[int, float, float]]:
-        objects = [{"id": oid, "x": x, "y": y, "occ": occ} for oid, x, y, occ in world]
+        line = protocol.frame_line(t, world)
         try:
-            reply = self._client.frame(t, objects)
-            return [(obj["source_id"], obj["x"], obj["y"]) for obj in reply]
+            reply = decode_reply(self._client.exchange_raw(line))
+            return [(obj["source_id"], obj["x"], obj["y"]) for obj in reply["objects"]]
         except (OSError, RemoteError, ServerGone) as exc:
             self.close()
             raise PerceptionUnavailable(f"frame exchange failed: {exc}") from exc

@@ -7,7 +7,6 @@ scene at a time and formats the text itself, and must write the same bytes.
 
 import hashlib
 import json
-import math
 from pathlib import Path
 
 import numpy as np
@@ -48,16 +47,16 @@ def reference_save(dataset: PerceptionDataset, path: Path) -> None:
                 fh.write(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-# Floats whose text is easy to get wrong: signed zero, the smallest subnormal, the largest finite, non-finite.
+# Floats whose text is easy to get wrong: signed zero, the smallest subnormal, the largest finite.
+# A dataset holds no NaN or infinite position (``from_columns`` rejects one), so the writer meets none.
 SPECIAL_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
-                  math.nan, math.inf, -math.inf, 1e16, 1e-7, 0.1, 123456.789)
+                  1e16, 1e-7, 0.1, 123456.789)
 SPECIAL_INTS = (0, -1, INT64_MAX, -INT64_MAX, -INT64_MAX - 1)
 
-floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
 ints = st.one_of(st.sampled_from(SPECIAL_INTS), st.integers(-INT64_MAX - 1, INT64_MAX))
-# At theta 0 the writer's y is r itself, so every special float reaches the text. An infinite
-# angle has no sine (``math.sin`` raises), so neither writer can write one.
-angles = st.one_of(st.just(0.0), st.floats(allow_infinity=False))
+# At theta 0 the writer's y is r itself, so every special float reaches the text.
+angles = st.one_of(st.just(0.0), st.floats(allow_nan=False, allow_infinity=False))
 
 
 @st.composite
@@ -113,18 +112,16 @@ def files(tmp_path_factory):
 @example(dataset=PerceptionDataset())
 def test_save_dataset_writes_the_reference_bytes(files, dataset):
     saved, reference = files
-    with np.errstate(invalid="ignore"):  # an infinite r at an angle whose sine is 0 gives NaN in both writers
-        save_dataset(dataset, saved)
-        reference_save(dataset, reference)
+    save_dataset(dataset, saved)
+    reference_save(dataset, reference)
     assert saved.read_bytes() == reference.read_bytes()
 
 
 def test_special_values_reach_the_text(files):
     saved, _ = files
-    with np.errstate(invalid="ignore"):
-        save_dataset(special_dataset(), saved)
+    save_dataset(special_dataset(), saved)
     text = saved.read_text()
-    for token in ("-0.0", "5e-324", "1.7976931348623157e+308", "NaN", "-Infinity", f"{-INT64_MAX - 1}", '"det":[]'):
+    for token in ("-0.0", "5e-324", "1.7976931348623157e+308", f"{-INT64_MAX - 1}", '"det":[]'):
         assert token in text, token
     assert len(text.splitlines()) == 3
 

@@ -336,12 +336,12 @@ def test_server_session_and_model_source_share_one_stream():
     model = stochastic_model()
     worlds = [[(o["id"], o["x"] + 0.3 * t, o["y"] - t, o["occ"]) for o in OBJS] for t in range(8)]
     frame = lambda t: {"type": "frame", "t": t, "objects": [dict(zip(("id", "x", "y", "occ"), o)) for o in worlds[t]]}
-    as_tuples = lambda reply: [(o["source_id"], o["x"], o["y"]) for o in reply["objects"]]
+    as_tuples = lambda reply: [(o["source_id"], o["x"], o["y"]) for o in json.loads(reply)["objects"]]
 
     session = Session({"m": model})
     session.handle({"type": "init", "model": "m", "seed": 13, "rate_hz": 2.0})
     wire = [as_tuples(session.handle(frame(t))) for t in range(8)]
-    assert session.handle({"type": "reset"}) == {"type": "ack", "of": "reset"}
+    assert session.handle({"type": "reset"}) == protocol.encode({"type": "ack", "of": "reset"})
     wire_after_reset = [as_tuples(session.handle(frame(t))) for t in range(8)]
 
     source = ModelSource(model)
@@ -452,8 +452,8 @@ def in_process_replies(requests: list[bytes]) -> list[bytes]:
         try:
             reply = session.handle(protocol.parse_request(line))
         except protocol.ProtocolError as exc:
-            reply = protocol.error_msg(exc.code, exc.message)
-        replies.append(protocol.encode(reply))
+            reply = protocol.encode(protocol.error_msg(exc.code, exc.message))
+        replies.append(reply)
     return replies
 
 
