@@ -149,7 +149,7 @@ class DatasetBuilder:
         self.scene_frames[-1] += 1
 
     def build(self) -> "PerceptionDataset":
-        return PerceptionDataset.from_columns(self.columns())
+        return PerceptionDataset._unchecked(self.columns())  # add_frame checked every position
 
     def columns(self) -> dict[str, np.ndarray]:
         """The columns as NumPy arrays that take over the builder's memory uncopied; the builder starts empty again."""
@@ -203,6 +203,11 @@ class PerceptionDataset:
             values = columns[name]
             if not np.isfinite(values).all():
                 require(float(values[np.argmin(np.isfinite(values))]), name, float)
+        return cls._unchecked(columns)
+
+    @classmethod
+    def _unchecked(cls, columns: dict[str, np.ndarray]) -> "PerceptionDataset":
+        """``from_columns`` without the finite check, for columns built, loaded or sliced from checked values."""
         dataset = cls.__new__(cls)
         dataset._set_columns(columns)
         return dataset
@@ -229,7 +234,7 @@ class PerceptionDataset:
         )
         columns.update({name: getattr(self, name)[g0:g1] for name in ("gt_id", "gt_r", "gt_theta", "gt_occ")})
         columns.update({name: getattr(self, name)[d0:d1] for name in ("det_r", "det_theta")})
-        return PerceptionDataset.from_columns(columns)
+        return PerceptionDataset._unchecked(columns)
 
     @property
     def scenes(self) -> list[Scene]:
@@ -260,7 +265,7 @@ def save_dataset(dataset: PerceptionDataset, path: str | Path) -> None:
         for s, scene_id in enumerate(dataset.scene_ids.tolist()):
             scene = dataset.scene_range(s, s + 1)
             r, theta = np.concatenate((scene.gt_r, scene.det_r)), np.concatenate((scene.gt_theta, scene.det_theta))
-            # r and theta are finite (from_columns), so x and y are, and repr writes them as json.dumps does.
+            # r and theta are finite (every constructor checks them), so x and y are, and repr writes them as json.dumps does.
             x, y = (list(map(repr, v.tolist())) for v in xy_from_polar_arrays(r, theta))  # ground truth, then detections
             ids, occ, n_gt = scene.gt_id.tolist(), scene.gt_occ.tolist(), len(scene.gt_id)
             gt = [f'{{"id":{i},"occ":{o},"x":{gx},"y":{gy}}}' for i, o, gx, gy in zip(ids, occ, x, y)]
@@ -497,4 +502,4 @@ def _join_rows(pieces: list) -> PerceptionDataset:
     scene_ids, frames_per_scene = np.unique(scene_of_frame, return_counts=True)
     columns["scene_ids"] = scene_ids
     columns["scene_offsets"] = _offsets(frames_per_scene)
-    return PerceptionDataset.from_columns(columns)
+    return PerceptionDataset._unchecked(columns)  # _parse_rows checked every position

@@ -197,7 +197,7 @@ def cell_of(
 ) -> tuple[int, int] | None:
     """(ring, sector) containing a position, or None when r >= max_radius, on a grid's plain numbers.
 
-    The scalar bin lookup behind ``condition_of`` and ``inject.perceive``.
+    The scalar bin lookup behind ``condition_of`` and ``inject.checked_cells``.
     ``inject.InjectorSession`` writes the same arithmetic inline in its
     one-pass conversion, and ``tests/test_inject_equivalence`` holds it to
     ``condition_of``.

@@ -2,11 +2,12 @@
 
 Each object carries a binary detection state v that evolves as a two-state
 Markov chain per condition; detected objects get a bivariate Gaussian error
-on range ratio and bearing. One loop, ``perceive``, applies this rule to plain
-``(id, r, theta, occ)`` tuples; ``synthesize_dataset`` calls it, and
-``apply_pem`` is its object form. ``InjectorSession`` (serve and simulate)
-takes each Cartesian object to ``(id, r, theta, cell)`` in one pass and hands
-``perceive`` those.
+on range ratio and bearing. One loop, ``perceive``, applies this rule to
+checked ``(id, r, theta, cell)`` tuples, where ``cell`` is the condition
+index. ``checked_cells`` makes them from ``(id, r, theta, occ)`` for
+``apply_pem`` (the object form) and ``synthesize_dataset``;
+``InjectorSession`` (serve and simulate) makes them from Cartesian objects in
+one pass and falls back to ``checked_cells`` for any frame that fails it.
 
 Random-number consumption is fixed so that two processes running the same
 model, world sequence, and seed produce identical perceived sequences:
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import N_OCCLUSION_LEVELS, TWO_PI, GridSpec, OcclusionLevel, PolarCoord, cell_of, polar
+from .geometry import N_OCCLUSION_LEVELS, TWO_PI, GridSpec, OcclusionLevel, PolarCoord, cell_of, polar, wrap_angle
 from .model import PARAM_NAMES, PemModel
 
 # Perceived range is clamped here; a Gaussian radial ratio can go non-positive.
@@ -79,47 +80,47 @@ def _bins(grid: GridSpec) -> tuple[float, float, int, float, int]:
     return grid.max_radius_m, grid.ring_depth_m, grid.n_rings, grid.sector_width_rad, grid.n_sectors
 
 
+def checked_cells(model: PemModel, world: list[tuple[int, float, float, int]]) -> list[tuple[int, float, float, int]]:
+    """(id, r, theta, cell) per (id, r, theta, occ), for ``perceive``; ``cell`` is the condition index, -1 outside the grid.
+
+    A repeated id raises DuplicateIdError, naming the repeated id that appears
+    first; then an invalid position or occlusion level raises ValueError.
+    """
+    if len({obj[0] for obj in world}) != len(world):
+        dup = next(i for i, n in Counter(obj[0] for obj in world).items() if n > 1)  # the repeated id seen first
+        raise DuplicateIdError(f"duplicate object id {dup}")
+    bins = _bins(model.grid)
+    n_rings, n_sectors = bins[2], bins[4]
+    cells = []
+    for oid, r, theta, occ in world:
+        if not (r >= 0.0 and -math.pi < theta <= math.pi):
+            PolarCoord(r, theta)  # raises PolarCoord's error; a NaN range passes its check
+        if type(occ) is not int or not 0 <= occ < N_OCCLUSION_LEVELS:
+            occ = int(OcclusionLevel(occ))
+        cell = cell_of(r, theta, *bins)  # condition_of as an index
+        cells.append((oid, r, theta, -1 if cell is None else (occ * n_rings + cell[0]) * n_sectors + cell[1]))
+    return cells
+
+
 def perceive(
     model: PemModel,
     world: list[tuple[int, float, float, int]],
     tracks: dict[int, int],
     rng: np.random.Generator,
     params: tuple[list[float], ...] | None = None,
-    resolved: bool = False,
 ) -> tuple[list[tuple[int, float, float]], dict[int, int]]:
-    """Process one frame of (id, r, theta, occ): step every object's chain and emit the detected ones.
+    """Process one frame of checked (id, r, theta, cell): step every object's chain and emit the detected ones.
 
-    ``tracks`` maps each id of the previous frame to its detection state;
-    ids not in it start undetected, and objects at or beyond the grid's max
-    radius are never detected. Returns (id, r, theta) per detected object in
-    world order, plus the new track state, which holds exactly this frame's
-    ids. A repeated id raises DuplicateIdError, naming the repeated id that
-    appears first, and an invalid position or occlusion level raises
-    ValueError; both before any draw. ``params`` is ``param_lists(model)``,
-    built here when not given.
-
-    With ``resolved``, each entry is (id, r, theta, cell) instead, from a
-    caller that has checked every position and level: ``cell`` is the
-    condition index, or -1 outside the grid, where r and theta go unread.
+    ``world`` is ``checked_cells``' output, or the same entries from a caller
+    that checked them: unique ids, and r and theta go unread where ``cell`` is
+    -1. ``tracks`` maps each id of the previous frame to its detection state;
+    ids not in it start undetected, and objects outside the grid are never
+    detected. Returns (id, r, theta) per detected object in world order, plus
+    the new track state, which holds exactly this frame's ids. ``params`` is
+    ``param_lists(model)``, built here when not given.
     """
-    if len({obj[0] for obj in world}) != len(world):
-        dup = next(i for i, n in Counter(obj[0] for obj in world).items() if n > 1)  # the repeated id seen first
-        raise DuplicateIdError(f"duplicate object id {dup}")
-    if not resolved:
-        checked = []
-        bins = _bins(model.grid)
-        n_rings, n_sectors = bins[2], bins[4]
-        for oid, r, theta, occ in world:
-            if not (r >= 0.0 and -math.pi < theta <= math.pi):
-                PolarCoord(r, theta)  # raises PolarCoord's error; a NaN range passes its check
-            if type(occ) is not int or not 0 <= occ < N_OCCLUSION_LEVELS:
-                occ = int(OcclusionLevel(occ))
-            cell = cell_of(r, theta, *bins)  # condition_of as an index, -1 outside the grid
-            checked.append((oid, r, theta, -1 if cell is None else (occ * n_rings + cell[0]) * n_sectors + cell[1]))
-        world = checked
     a01, a11, mu_r, mu_theta, sigma_r, sigma_theta, rho = param_lists(model) if params is None else params
-    random, normal, was_detected = rng.random, rng.standard_normal, tracks.get
-    sqrt, fmod, pi = math.sqrt, math.fmod, math.pi
+    random, normal, was_detected, sqrt = rng.random, rng.standard_normal, tracks.get, math.sqrt
 
     perceived: list[tuple[int, float, float]] = []
     new_tracks: dict[int, int] = {}
@@ -134,12 +135,7 @@ def perceive(
             c = rho[i]
             eps_r = mu_r[i] + sigma_r[i] * z0
             eps_theta = mu_theta[i] + sigma_theta[i] * (c * z0 + sqrt(1.0 - c * c) * z1)
-            theta = fmod(theta + eps_theta, TWO_PI)  # wrap_angle, inlined
-            if theta > pi:
-                theta -= TWO_PI
-            elif theta <= -pi:
-                theta += TWO_PI
-            perceived.append((oid, max(r * eps_r, MIN_PERCEIVED_RANGE_M), theta))
+            perceived.append((oid, max(r * eps_r, MIN_PERCEIVED_RANGE_M), wrap_angle(theta + eps_theta)))
     return perceived, new_tracks
 
 
@@ -151,7 +147,7 @@ def apply_pem(
 ) -> tuple[list[PerceivedObject], dict[int, int]]:
     """``perceive`` for ground-truth objects: returns perceived objects and the new track state."""
     plain = [(obj.id, obj.position.r, obj.position.theta, obj.occlusion) for obj in world]
-    perceived, new_tracks = perceive(model, plain, tracks, rng)
+    perceived, new_tracks = perceive(model, checked_cells(model, plain), tracks, rng)
     return [PerceivedObject(oid, PolarCoord(r, theta)) for oid, r, theta in perceived], new_tracks
 
 
@@ -182,27 +178,28 @@ class InjectorSession:
         if self.last_t is not None and t <= self.last_t:
             raise TimeRegressionError(f"frame t {t} not greater than {self.last_t}")
         world = self._resolve(objects)
-        if world is not None:
-            perceived, self.tracks = perceive(self.model, world, self.tracks, self.rng, self.params, resolved=True)
-        else:  # the checked path: every error, and which of several wins, is polar's and perceive's
+        if world is None:  # the checked path: every error, and which of several wins, is polar's and checked_cells'
             world = []
             for oid, x, y, occ in objects:
                 r, theta = polar(x, y)
                 if theta != theta:  # a NaN coordinate fails here, before the duplicate-id check
                     PolarCoord(r, theta)
                 world.append((oid, r, theta, occ))
-            perceived, self.tracks = perceive(self.model, world, self.tracks, self.rng, self.params)
+            world = checked_cells(self.model, world)
+        perceived, self.tracks = perceive(self.model, world, self.tracks, self.rng, self.params)
         self.last_t = t
         sin, cos = math.sin, math.cos
         return [(oid, -r * sin(theta), r * cos(theta)) for oid, r, theta in perceived]  # geometry.cartesian
 
     def _resolve(self, objects: list[tuple[int, float, float, int]]) -> list[tuple[int, float, float, int]] | None:
-        """(id, r, theta, cell) per (id, x, y, occ) in one pass, for ``perceive(..., resolved=True)``.
+        """``checked_cells`` of the objects' polar positions, in one pass.
 
         The arithmetic is ``geometry.polar``'s and ``geometry.cell_of``'s; an object outside the
-        grid skips the bearing. None if an object has a non-finite position or a level that is not
-        a plain int in range.
+        grid skips the bearing. None if ids repeat, or an object has a non-finite position or a
+        level that is not a plain int in range: the checked path then raises or takes it.
         """
+        if len({obj[0] for obj in objects}) != len(objects):
+            return None
         max_r, depth, n_rings, width, n_sectors = self.bins
         hypot, atan2, fmod, pi = math.hypot, math.atan2, math.fmod, math.pi
         world = []

@@ -13,7 +13,7 @@ import numpy as np
 
 from .dataset import DatasetBuilder, PerceptionDataset
 from .geometry import N_OCCLUSION_LEVELS, PolarCoord, polar_from_xy_arrays, wrap_angle, xy_from_polar
-from .inject import param_lists, perceive, session_rng
+from .inject import checked_cells, param_lists, perceive, session_rng
 from .model import PemModel
 
 
@@ -94,7 +94,7 @@ def synthesize_dataset(cfg: SyntheticDatasetConfig) -> PerceptionDataset:
         for _t in range(cfg.frames_per_scene):
             r, theta = (a.tolist() for a in polar_from_xy_arrays(*positions.T.tolist()))
             world = list(zip(ids, r, theta, occ))
-            perceived, tracks = perceive(cfg.true_model, world, tracks, rng, params)
+            perceived, tracks = perceive(cfg.true_model, checked_cells(cfg.true_model, world), tracks, rng, params)
             det = [(pr, ptheta) for _, pr, ptheta in perceived]
             if len(det) > 1:
                 det = [det[i] for i in rng.permutation(len(det))]

@@ -33,7 +33,7 @@ from pemkit import (
     wrap_angle,
 )
 from pemkit.client import replay_transcript
-from pemkit.inject import perceive
+from pemkit.inject import checked_cells, perceive
 from pemkit.matching import brute_force_match
 from pemkit.model import IDENTITY_EMISSION
 from pemkit.cli import EXIT_OK, main
@@ -171,7 +171,7 @@ def test_03_stationary_detection_grid():
             tracks = {}
             hits = 0
             for _ in range(1000):
-                _, tracks = perceive(model, world, tracks, rng)
+                _, tracks = perceive(model, checked_cells(model, world), tracks, rng)
                 hits += sum(tracks.values())
             expected = a01 / (1.0 + a01 - a11)
             worst = max(worst, abs(hits / (100 * 1000) - expected))

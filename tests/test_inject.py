@@ -16,7 +16,7 @@ from pemkit import (
     perfect_model,
     session_rng,
 )
-from pemkit.inject import InjectorSession, perceive
+from pemkit.inject import InjectorSession, checked_cells, perceive
 from pemkit.model import IDENTITY_EMISSION
 
 GRID = GridSpec()
@@ -27,8 +27,8 @@ def uniform_model(a01, a11, emission=IDENTITY_EMISSION):
 
 
 def at_20m(*ids, occ=OcclusionLevel.VIS3):
-    """A plain world of objects 20 m straight ahead, all in one condition."""
-    return [(i, 20.0, 0.0, occ) for i in ids]
+    """A checked world of objects 20 m straight ahead, all in one condition, as ``perceive`` takes it."""
+    return checked_cells(perfect_model(GRID), [(i, 20.0, 0.0, occ) for i in ids])
 
 
 def test_step_detection_absorbing_states():
