@@ -103,14 +103,19 @@ class OcclusionLevel(IntEnum):
 
     @classmethod
     def from_fraction(cls, fraction: float) -> "OcclusionLevel":
-        f = min(max(fraction, 0.0), 1.0)
-        if f < 0.4:
-            return cls.VIS0
-        if f < 0.6:
-            return cls.VIS1
-        if f < 0.8:
-            return cls.VIS2
-        return cls.VIS3
+        return cls(occlusion_level(fraction))
+
+
+def occlusion_level(fraction: float) -> int:
+    """``OcclusionLevel.from_fraction`` as a plain int, for code that runs per actor per frame."""
+    f = min(max(fraction, 0.0), 1.0)
+    if f < 0.4:
+        return 0
+    if f < 0.6:
+        return 1
+    if f < 0.8:
+        return 2
+    return 3
 
 
 N_OCCLUSION_LEVELS = 4

@@ -22,6 +22,17 @@ class ModelFormatError(ValueError):
     """A model file is malformed or violates a parameter invariant."""
 
 
+# Bounds that keep every perceived value finite. The injector draws
+# eps_r = mu_r + sigma_r * z0 and eps_theta = mu_theta + sigma_theta * (rho * z0 + sqrt(1 - rho^2) * z1)
+# and emits r * eps_r and theta + eps_theta for r < max_radius_m and |theta| <= pi. With |mu_r|,
+# sigma_r, |mu_theta| and sigma_theta at most MAX_ERROR_PARAM and max_radius_m at most
+# MAX_GRID_RADIUS_M, both stay below 1e300 in magnitude for any normal draws |z| < 1e99; NumPy's
+# standard normal sampler cannot return a value beyond about 12.3. No model that describes a sensor
+# comes near either bound.
+MAX_ERROR_PARAM = 1e100
+MAX_GRID_RADIUS_M = 1e100
+
+
 @dataclass(frozen=True, slots=True)
 class TransitionMatrix:
     """Two-state detection chain; rows of the implied 2x2 matrix sum to 1.
@@ -145,6 +156,20 @@ class PemModel:
         if bad.any():
             idx = int(np.argmax(bad))
             raise ModelFormatError(f"condition {idx}: rho out of (-1,1): {self.rho[idx]}")
+        for name in ("mu_r", "mu_theta", "sigma_r", "sigma_theta"):
+            arr = getattr(self, name)
+            bad = np.abs(arr) > MAX_ERROR_PARAM
+            if bad.any():
+                idx = int(np.argmax(bad))
+                raise ModelFormatError(
+                    f"condition {idx}: {name} must lie within +-{MAX_ERROR_PARAM:g}, so perceived values stay finite: "
+                    f"{arr[idx]}"
+                )
+        if self.grid.max_radius_m > MAX_GRID_RADIUS_M:
+            raise ModelFormatError(
+                f"grid max_radius_m must be at most {MAX_GRID_RADIUS_M:g}, so perceived ranges stay finite: "
+                f"{self.grid.max_radius_m}"
+            )
 
     @property
     def n_conditions(self) -> int:

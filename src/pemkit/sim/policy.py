@@ -1,4 +1,10 @@
-"""Longitudinal driving policy: corridor gating plus a headway braking law."""
+"""Longitudinal driving policy: corridor gating plus a headway braking law.
+
+The policy has two steps. ``obstacle_gap`` reads a perceived frame and gives
+the gap to the nearest obstacle ahead in the corridor, so it runs once per
+perception frame. ``gap_command`` turns that gap and the ego's current speed
+into a command, so it runs every tick. ``driving_policy`` is the two composed.
+"""
 
 from __future__ import annotations
 
@@ -19,16 +25,26 @@ def driving_policy(perceived: list[tuple[int, float, float]], ego: ActorState, c
     no relevant obstacle the command is comfort_accel toward cruise (the
     integrator caps speed at the scenario's cruise target). Fully deterministic.
     """
+    return gap_command(obstacle_gap(perceived, ego, cfg), ego.speed, cfg)
+
+
+def obstacle_gap(perceived: list[tuple[int, float, float]], ego: ActorState, cfg: PolicyConfig) -> float | None:
+    """Gap from the ego's front to the nearest perceived obstacle ahead in the corridor, or None."""
     nearest = None
     for _sid, x, y in perceived:
         if abs(x) <= cfg.corridor_half_width_m and y > 0.0 and (nearest is None or y < nearest):
             nearest = y
     if nearest is None:
-        return cfg.comfort_accel
+        return None
+    return nearest - 0.5 * ego.length - OBSTACLE_INFLATION_M
 
-    gap = nearest - 0.5 * ego.length - OBSTACLE_INFLATION_M
-    d_brake_full = ego.speed * ego.speed / (2.0 * cfg.max_decel) + cfg.standstill_m
-    d_brake_start = ego.speed * cfg.headway_s + cfg.standstill_m
+
+def gap_command(gap: float | None, speed: float, cfg: PolicyConfig) -> float:
+    """The command for an ``obstacle_gap`` at the ego's current speed."""
+    if gap is None:
+        return cfg.comfort_accel
+    d_brake_full = speed * speed / (2.0 * cfg.max_decel) + cfg.standstill_m
+    d_brake_start = speed * cfg.headway_s + cfg.standstill_m
     if gap <= d_brake_full:
         return -cfg.max_decel
     if gap <= d_brake_start:

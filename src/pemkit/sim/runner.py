@@ -8,7 +8,10 @@ model, and a remote model server. A local ``ModelSource`` opens one
 run driven by either is bit-identical given the same model and seed.
 
 ``run_once`` tracks the min distance and the perception metrics as the run
-goes, so a batch keeps per-tick rows only for runs whose logs are saved.
+goes, so a batch keeps per-tick rows only for runs whose logs are saved. It
+keeps one pose cache per actor (what depends only on its heading), finds the
+policy's nearest obstacle once per perception frame and turns it into a
+command every tick.
 """
 
 from __future__ import annotations
@@ -21,15 +24,15 @@ from pathlib import Path
 from .. import protocol
 from ..checks import require, require_each, require_object
 from ..client import PemClient, RemoteError, ServerGone, decode_reply
-from ..geometry import OcclusionLevel
 from ..inject import InjectorSession
 from ..inject import apply_pem  # noqa: F401  kept resolvable: perfbench wraps runner.apply_pem
 from ..model import PemModel
 from .metrics import ELIGIBLE_RANGE_M, axis_half_extents, footprint_distance, perception_metrics
 from .metrics import rect_distance  # noqa: F401  kept resolvable: perfbench wraps runner.rect_distance
 from .occlusion import compute_occlusion  # noqa: F401  kept resolvable: perfbench wraps runner.compute_occlusion
-from .occlusion import visibility
-from .policy import driving_policy
+from .occlusion import corner_offsets, visibility
+from .policy import driving_policy  # noqa: F401  kept resolvable: perfbench wraps runner.driving_policy
+from .policy import gap_command, obstacle_gap
 from .world import ActorState, PolicyConfig, ScenarioSpec
 
 
@@ -189,6 +192,7 @@ def run_once(
     dt = 1.0 / spec.tick_rate_hz
     ticks_per_perception = spec.tick_rate_hz // spec.perception_rate_hz
     n_ticks = int(round(spec.duration_s * spec.tick_rate_hz))
+    cruise = spec.ego_cruise_speed
 
     log = RunLog(
         scenario_id=spec.scenario_id,
@@ -214,24 +218,28 @@ def run_once(
     # perception_metrics reads records keyed by name, where a repeated name holds its last actor.
     watched = max((i for i, st in enumerate(states) if st.name == log.primary_obstacle), default=-1)
     eligible = detected = gap = max_gap = 0
-    # The ego never turns; an actor's heading terms are recomputed when its heading changes.
+    # The ego never turns and faces +y, so its footprint is axis-aligned. An actor's heading terms
+    # are recomputed when a script changes its heading.
     ego_extents = axis_half_extents(ego)
+    ego_hx, ego_hy = ego_extents
     poses = [_heading_terms(st) for st in states]
-    perceived_latest: list[tuple[int, float, float]] = []
+    obstacle = None  # obstacle_gap of the latest perceived frame
     frame_index = 0
     min_dist = math.inf
     end_reason = "duration"
     for k in range(n_ticks):
         t = k * dt
-        for state, script in actors:
+        for j, (state, script) in enumerate(actors):
             script.step(state, ego, t, dt)
+            if state.heading != poses[j][0]:
+                poses[j] = _heading_terms(state)
 
         record: PerceptionRecord | None = None
         if k % ticks_per_perception == 0:
-            views = visibility(ego, states)  # (center range, visible fraction) per actor
+            views = visibility(ego, states, [pose[5] for pose in poses])  # (range, fraction, level) per actor
             world = [
-                (idx + 1, st.x - ego.x, st.y - ego.y, int(OcclusionLevel.from_fraction(fraction)))
-                for idx, (st, (_, fraction)) in enumerate(zip(states, views))
+                (idx + 1, st.x - ego.x, st.y - ego.y, level)
+                for idx, (st, (_, _, level)) in enumerate(zip(states, views))
             ]
             try:
                 returned = source.perceive(frame_index, world)
@@ -242,8 +250,9 @@ def run_once(
                 log.min_distance_m = min_dist
                 return log
             frame_index += 1
-            perceived_latest = [(sid, x, y) for sid, x, y in returned]
-            seen = {sid for sid, _, _ in perceived_latest}
+            perceived = [(sid, x, y) for sid, x, y in returned]
+            obstacle = obstacle_gap(perceived, ego, cfg)
+            seen = {sid for sid, _, _ in perceived}
             if watched < 0 or views[watched][0] >= ELIGIBLE_RANGE_M:
                 gap = 0  # an ineligible frame breaks a non-detection run
             else:
@@ -253,16 +262,17 @@ def run_once(
                     gap = 0
                 else:
                     gap += 1
-                    max_gap = max(max_gap, gap)
+                    if gap > max_gap:
+                        max_gap = gap
             if record_ticks:
                 record = PerceptionRecord(
-                    perceived=perceived_latest,
+                    perceived=perceived,
                     detected={st.name: (idx + 1) in seen for idx, st in enumerate(states)},
-                    ranges={st.name: rng for st, (rng, _) in zip(states, views)},
-                    visibility={st.name: fraction for st, (_, fraction) in zip(states, views)},
+                    ranges={st.name: rng for st, (rng, _, _) in zip(states, views)},
+                    visibility={st.name: fraction for st, (_, fraction, _) in zip(states, views)},
                 )
 
-        accel = driving_policy(perceived_latest, ego, cfg)
+        accel = gap_command(obstacle, ego.speed, cfg)
         if record_ticks:
             log.ticks.append(
                 TickRow(
@@ -276,13 +286,16 @@ def run_once(
                 )
             )
 
-        distances = []
-        for j, st in enumerate(states):
-            pose = poses[j]
-            if st.heading != pose[0]:
-                pose = poses[j] = _heading_terms(st)
-            distances.append(footprint_distance(ego, ego_extents, st, pose[1]))
-        tick_min = min(distances, default=math.inf)
+        tick_min = math.inf
+        for st, (_, hx, hy, _, _, _) in zip(states, poses):
+            if hx is None:  # a rotated footprint
+                d = footprint_distance(ego, ego_extents, st, None)
+            else:  # footprint_distance's axis-aligned case, written out
+                dx = abs(ego.x - st.x) - ego_hx - hx
+                dy = abs(ego.y - st.y) - ego_hy - hy
+                d = math.hypot(dx if dx > 0.0 else 0.0, dy if dy > 0.0 else 0.0)
+            if d < tick_min:
+                tick_min = d
         if tick_min < min_dist:  # min(min_dist, tick_min)
             min_dist = tick_min
         if tick_min <= 0.0:
@@ -292,13 +305,15 @@ def run_once(
 
         # Explicit Euler: positions advance with the pre-update speeds.
         ego.y += ego.speed * dt  # ego heading is fixed at +y
-        for state, (_, _, cos_h, sin_h) in zip(states, poses):
+        for state, (_, _, _, cos_h, sin_h, _) in zip(states, poses):
             state.x += state.speed * cos_h * dt
             state.y += state.speed * sin_h * dt
-        if accel >= 0.0:
-            ego.speed = min(ego.speed + accel * dt, max(spec.ego_cruise_speed, ego.speed))
-        else:
-            ego.speed = max(ego.speed + accel * dt, 0.0)
+        speed = ego.speed + accel * dt
+        if accel >= 0.0:  # min(speed, max(cruise, ego.speed)), without the calls
+            cap = ego.speed if ego.speed > cruise else cruise
+            ego.speed = cap if cap < speed else speed
+        else:  # max(speed, 0.0)
+            ego.speed = 0.0 if 0.0 > speed else speed
         if ego.y >= spec.road_length_m:
             end_reason = "road_end"
             break
@@ -311,9 +326,13 @@ def run_once(
     return log
 
 
-def _heading_terms(actor: ActorState) -> tuple[float, tuple[float, float] | None, float, float]:
-    """(heading, axis half extents, cos, sin): what a tick needs of an actor's heading."""
-    return actor.heading, axis_half_extents(actor), math.cos(actor.heading), math.sin(actor.heading)
+def _heading_terms(actor: ActorState) -> tuple:
+    """What a tick needs of an actor's heading: (heading, hx, hy, cos, sin, corner offsets).
+
+    (hx, hy) are the axis half extents, or (None, None) for a rotated footprint.
+    """
+    hx, hy = axis_half_extents(actor) or (None, None)
+    return actor.heading, hx, hy, math.cos(actor.heading), math.sin(actor.heading), corner_offsets(actor)
 
 
 def save_runlog(log: RunLog, path: str | Path) -> None:

@@ -1,13 +1,15 @@
 """``save_dataset`` against the writer it replaced, which built each row as a dict for ``json.dumps``.
 
 ``reference_save`` is that writer, kept verbatim: it converted every column
-of the dataset to Python lists at once. The streaming writer converts one
-scene at a time and formats the text itself, and must write the same bytes.
+of the dataset to Python lists at once. The streaming writer converts a
+block of whole scenes at a time and formats the text itself, and must write
+the same bytes for any block size.
 """
 
 import hashlib
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from pemkit import (
     save_dataset,
     synthesize_dataset,
 )
+from pemkit import dataset as dataset_module
 from pemkit.dataset import PerceptionDataset, _offsets
 from pemkit.geometry import xy_from_polar_arrays
 
@@ -140,3 +143,15 @@ def test_readme_dataset_keeps_its_bytes(tmp_path):
     path = tmp_path / "dataset.jsonl"
     save_dataset(synthesize_dataset(SyntheticDatasetConfig(true_model=truth, n_scenes=50, seed=7)), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == README_DATASET_SHA256
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(dataset=datasets(), cap=st.integers(0, 8))
+@example(dataset=special_dataset(), cap=3)
+def test_every_block_size_writes_the_reference_bytes(files, dataset, cap):
+    # Small caps split the scenes into many blocks, and put scenes larger than the cap alone in one.
+    saved, reference = files
+    with mock.patch.object(dataset_module, "SAVE_BLOCK_OBJECTS", cap):
+        save_dataset(dataset, saved)
+    reference_save(dataset, reference)
+    assert saved.read_bytes() == reference.read_bytes()

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -15,7 +16,10 @@ from pemkit import (
     save_model,
     stationary_detection,
 )
-from pemkit.model import model_to_dict
+from pemkit import protocol
+from pemkit.inject import InjectorSession
+from pemkit.model import MAX_ERROR_PARAM, MAX_GRID_RADIUS_M, model_to_dict
+from pemkit.server import Session
 
 
 def random_model(seed=0, grid=None):
@@ -129,3 +133,54 @@ def test_condition_accessors():
     em = model.emission(cond)
     assert tm.a01 == model.a01[cond.index]
     assert em.sigma_theta == model.sigma_theta[cond.index]
+
+
+def bounded_model(mu_sign: float, rho: float) -> PemModel:
+    """Always detects, with every error parameter and the grid radius at their largest accepted values."""
+    grid = GridSpec(sector_width_deg=90.0, ring_depth_m=MAX_GRID_RADIUS_M, max_radius_m=MAX_GRID_RADIUS_M)
+    full = lambda v: np.full(grid.n_conditions, v)
+    return PemModel(
+        grid=grid, metadata="bounds", a01=full(1.0), a11=full(1.0),
+        mu_r=full(mu_sign * MAX_ERROR_PARAM), mu_theta=full(mu_sign * MAX_ERROR_PARAM),
+        sigma_r=full(MAX_ERROR_PARAM), sigma_theta=full(MAX_ERROR_PARAM), rho=full(rho),
+    )
+
+
+@pytest.mark.parametrize("mu_sign", [1.0, -1.0])
+@pytest.mark.parametrize("rho", [0.0, float(np.nextafter(1.0, 0.0)), float(np.nextafter(-1.0, 0.0))])
+def test_largest_accepted_model_perceives_finite_values(mu_sign, rho):
+    model = bounded_model(mu_sign, rho)
+    far = 0.99 * MAX_GRID_RADIUS_M
+    objects = [(1, 0.0, far), (2, -far, -1.0), (3, 0.3, -0.2), (4, far / 2**0.5, far / 2**0.5)]
+    injector = InjectorSession(model, 5)
+    session = Session({"m": model})
+    session.handle(protocol.parse_request(protocol.encode(protocol.init_msg("m", 5))))
+    for t in range(200):
+        world = [(oid, x, y, t % 4) for oid, x, y in objects]
+        perceived = injector.frame(t, world)
+        assert len(perceived) == len(objects)
+        assert all(math.isfinite(v) for obj in perceived for v in obj[1:])
+        reply = session.handle(protocol.parse_request(protocol.frame_line(t, world)))
+        doc = json.loads(reply, parse_constant=lambda name: pytest.fail(f"reply holds {name}"))
+        assert [(o["source_id"], o["x"], o["y"]) for o in doc["objects"]] == perceived
+
+
+@pytest.mark.parametrize("field", ["mu_r", "mu_theta", "sigma_r", "sigma_theta"])
+def test_error_parameters_beyond_the_bound_are_refused(tmp_path, field):
+    doc = model_to_dict(random_model())
+    doc["conditions"][3][field] = 2 * MAX_ERROR_PARAM
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match=f"condition 3: {field} must lie within"):
+        load_model(path)
+    if field.startswith("mu"):
+        doc["conditions"][3][field] = -2 * MAX_ERROR_PARAM
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=f"condition 3: {field}"):
+            load_model(path)
+
+
+def test_grid_radius_beyond_the_bound_is_refused():
+    grid = GridSpec(sector_width_deg=90.0, ring_depth_m=2 * MAX_GRID_RADIUS_M, max_radius_m=2 * MAX_GRID_RADIUS_M)
+    with pytest.raises(ModelFormatError, match="max_radius_m must be at most"):
+        never_detect_model(grid)

@@ -13,7 +13,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from pemkit import GridSpec, PemModel, never_detect_model
@@ -37,7 +37,8 @@ from pemkit.sim import (
     run_once,
 )
 from pemkit.sim.metrics import ELIGIBLE_RANGE_M
-from pemkit.sim.occlusion import footprint_corners
+from pemkit.sim.occlusion import footprint_corners, visibility
+from pemkit.sim.policy import OBSTACLE_INFLATION_M, gap_command, obstacle_gap
 from pemkit.sim.runner import PerceptionRecord, TickRow
 from pemkit.sim.world import LeadVehicle, PedestrianCrossing
 
@@ -439,3 +440,101 @@ def test_compute_occlusion_matches_oracle(spec, ego_x, ego_y):
     for target in states:
         others = [ego, *states]
         assert repr(compute_occlusion(ego, target, others)) == repr(oracle_compute_occlusion(ego, target, others))
+
+
+# ------------------------------------------- lazy occlusion and the split policy
+#
+# ``visibility`` computes bearing intervals only where a strictly nearer actor
+# exists, and ``run_once`` finds the policy's nearest obstacle once per
+# perception frame (``obstacle_gap``) and turns it into a command every tick
+# (``gap_command``). ``oracle_driving_policy`` is the one-step policy they
+# replaced, verbatim apart from its name.
+
+
+def oracle_driving_policy(perceived, ego, cfg):
+    nearest = None
+    for _sid, x, y in perceived:
+        if abs(x) <= cfg.corridor_half_width_m and y > 0.0 and (nearest is None or y < nearest):
+            nearest = y
+    if nearest is None:
+        return cfg.comfort_accel
+
+    gap = nearest - 0.5 * ego.length - OBSTACLE_INFLATION_M
+    d_brake_full = ego.speed * ego.speed / (2.0 * cfg.max_decel) + cfg.standstill_m
+    d_brake_start = ego.speed * cfg.headway_s + cfg.standstill_m
+    if gap <= d_brake_full:
+        return -cfg.max_decel
+    if gap <= d_brake_start:
+        return -cfg.max_decel * (d_brake_start - gap) / (d_brake_start - d_brake_full)
+    return cfg.comfort_accel
+
+
+def check_visibility(ego, states):
+    views = visibility(ego, states)
+    assert len(views) == len(states)
+    for target, view in zip(states, views):
+        fraction, level = oracle_compute_occlusion(ego, target, [ego, *states])
+        assert repr(view) == repr((math.hypot(target.x - ego.x, target.y - ego.y), fraction, int(level)))
+        assert type(view[2]) is int
+
+
+@settings(max_examples=300, deadline=None)
+@given(free_scenes(), st.floats(-10.0, 10.0), st.floats(-30.0, 30.0), st.sampled_from(["free", "inside", "mirror"]))
+def test_visibility_matches_oracle(spec, ego_x, ego_y, placement):
+    states = [state for state, _ in spec.actors]
+    ego = replace(spec.initial_ego(), x=ego_x, y=ego_y)
+    if placement == "inside":  # the ego at an actor's center, inside its footprint
+        ego = replace(ego, x=states[0].x, y=states[0].y)
+    elif placement == "mirror":  # the last actor at exactly the first one's center distance
+        ego = replace(ego, x=0.0, y=0.0)
+        states[-1] = replace(states[-1], x=-states[0].x, y=-states[0].y)
+    check_visibility(ego, states)
+
+
+def test_visibility_edge_cases():
+    ego = make_tc1().initial_ego()
+    car = lambda x, y, heading=math.pi / 2: ActorState("car", "vehicle", x, y, heading, 0.0, 4.5, 1.8)
+    ped = lambda x, y: ActorState("pedestrian", "pedestrian", x, y, math.pi, 0.0, 0.5, 0.5)
+    scenes = [
+        [],
+        [ped(0.0, 20.0)],
+        [ped(0.0, 20.0), ped(0.0, -20.0), ped(20.0, 0.0), ped(-20.0, 0.0)],  # four at one distance
+        [car(0.0, 10.0), ped(0.0, 30.0), car(0.5, 50.0), ped(0.2, 70.0)],  # a column, each behind the last
+        [car(0.0, 0.0), ped(0.0, 30.0), car(1.0, 10.0, 0.3)],  # the ego inside a footprint, a rotated occluder
+        [car(0.0, 10.0), car(0.0, -10.0), ped(0.0, 10.0)],  # equal distances, one pair at the same center
+        [ped(3.0, 4.0), ped(4.0, 3.0), ped(-5.0, 0.0)],  # three actors exactly 5 m away
+    ]
+    for states in scenes:
+        check_visibility(ego, states)
+
+
+perceived_objects = st.lists(
+    st.tuples(
+        st.integers(1, 9),
+        st.one_of(st.sampled_from([0.0, -0.0, 1.5, -1.5, 1.5000000000000002, -1.4999999999999998]),
+                  st.floats(-6.0, 6.0)),  # the default corridor edge, on and just off it
+        st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -3.0]), st.floats(-40.0, 120.0)),  # behind, at and ahead
+    ),
+    max_size=6,
+)
+
+
+CORRIDOR = PolicyConfig().corridor_half_width_m
+
+
+@settings(max_examples=500, deadline=None)
+@given(perceived_objects, st.floats(0.0, 20.0), st.one_of(st.just(PolicyConfig()), policies()))
+@example([], 8.0, PolicyConfig())
+@example([(1, 0.0, -5.0)], 8.0, PolicyConfig())  # behind the ego
+@example([(1, 0.0, 0.0)], 8.0, PolicyConfig())  # level with the ego: not ahead
+@example([(1, CORRIDOR, 12.0)], 8.0, PolicyConfig())  # on the corridor edge: inside
+@example([(1, -CORRIDOR, 12.0)], 8.0, PolicyConfig())
+@example([(1, math.nextafter(CORRIDOR, 9.0), 12.0)], 8.0, PolicyConfig())  # just outside
+@example([(1, 0.5, 40.0), (2, -0.5, 12.0), (3, 5.0, 3.0), (4, 0.0, -2.0)], 8.0, PolicyConfig())  # nearest inside wins
+def test_split_policy_matches_oracle(perceived, speed, cfg):
+    ego = replace(make_tc1().initial_ego(), speed=speed)
+    expected = oracle_driving_policy(perceived, ego, cfg)
+    gap = obstacle_gap(perceived, ego, cfg)
+    assert repr(gap_command(gap, ego.speed, cfg)) == repr(expected)
+    assert repr(driving_policy(perceived, ego, cfg)) == repr(expected)
+    assert (gap is None) == (not any(abs(x) <= cfg.corridor_half_width_m and y > 0.0 for _, x, y in perceived))

@@ -21,7 +21,7 @@ from pemkit import protocol
 from pemkit.checks import is_int, is_number
 from pemkit.geometry import N_OCCLUSION_LEVELS, GridSpec, OcclusionLevel, polar_from_xy, xy_from_polar
 from pemkit.inject import DuplicateIdError, GroundTruthObject, apply_pem, session_rng
-from pemkit.model import ErrorDistribution, PemModel, TransitionMatrix
+from pemkit.model import MAX_ERROR_PARAM, ErrorDistribution, ModelFormatError, PemModel, TransitionMatrix
 from pemkit.protocol import ERR_MALFORMED, ProtocolError
 from pemkit.server import Session
 
@@ -154,8 +154,14 @@ def varied_model():
 
 
 def overflowing_model():
-    """Finite, valid parameters whose range ratio overflows: perceived coordinates come out infinite."""
+    """Finite parameters whose range ratio would overflow, so perceived coordinates would come out infinite."""
     return PemModel.uniform(GridSpec(), TransitionMatrix(0.9, 0.9), ErrorDistribution(1e308, 0.0, 1.0, 0.01, 0.0))
+
+
+def largest_accepted_model():
+    """Every error parameter at the largest magnitude ``PemModel`` accepts."""
+    top = MAX_ERROR_PARAM
+    return PemModel.uniform(GridSpec(), TransitionMatrix(0.9, 0.9), ErrorDistribution(top, -top, top, top, 0.5))
 
 
 # Each malformed form as (what replaces a good object, or one of its fields).
@@ -274,14 +280,17 @@ def test_replies_match_the_oracle_byte_for_byte(seed, n_frames):
                         "frame object x and y must be numbers", "frame object occ must be an integer in [0,4)"}
 
 
-def test_overflowing_errors_are_written_as_json_writes_them():
-    models = {"m": overflowing_model()}
+def test_overflowing_errors_are_refused_and_the_largest_accepted_stay_finite():
+    with pytest.raises(ModelFormatError, match="mu_r must lie within"):
+        overflowing_model()
+    models = {"m": largest_accepted_model()}
     lines = stream(3, 200)
     got = session_replies(models, lines)
     oracle = OracleSession(models)
     expected = [oracle.reply(line) for line in lines]
     assert got == expected
-    assert any(b"Infinity" in reply for reply in got)
+    assert sum(len(json.loads(reply).get("objects", [])) for reply in got) > 1000
+    assert not any(b"Infinity" in reply or b"NaN" in reply for reply in got)
 
 
 # --- the directly written lines -------------------------------------------------
