@@ -44,6 +44,7 @@ from .geometry import GridSpec, N_OCCLUSION_LEVELS
 
 GRAD_TOL = 1e-6
 MAX_ITERATIONS = 10_000
+GAMMA_SHAPE, GAMMA_RATE = 1.0, 1.0  # the Gamma(shape, rate) prior on the precision kappa
 
 # Degenerate observations (zero-variance data) would demand more precision
 # than float64 gradients can express; cap so convergence stays checkable.
@@ -92,15 +93,13 @@ def build_adjacency(grid: GridSpec) -> np.ndarray:
 
 @dataclass(slots=True)
 class CarSpec:
-    """Prior configuration: spatial dependence, adjacency, Gamma(shape, rate) on the precision.
+    """Prior configuration: spatial dependence and adjacency; the precision's prior is Gamma(GAMMA_SHAPE, GAMMA_RATE).
 
     ``adjacency`` may be given dense or sparse; it is stored as a float CSR array.
     """
 
     adjacency: sp.csr_array
     alpha: float = 0.95
-    gamma_shape: float = 1.0
-    gamma_rate: float = 1.0
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
@@ -230,8 +229,8 @@ def fit_car(obs: FieldObservation, spec: CarSpec, field_name: str = "field") -> 
 
     def kappa_star(y: np.ndarray) -> float:
         s = quad(y)
-        num = 0.5 * n_eff + spec.gamma_shape - 1.0
-        return max(num, 1e-12) / (0.5 * s + spec.gamma_rate)
+        num = 0.5 * n_eff + GAMMA_SHAPE - 1.0
+        return max(num, 1e-12) / (0.5 * s + GAMMA_RATE)
 
     def objective(y: np.ndarray, kappa: float) -> float:
         return 0.5 * kappa * quad(y) + data_terms(y)[0]

@@ -4,10 +4,10 @@ Each object carries a binary detection state v that evolves as a two-state
 Markov chain per condition; detected objects get a bivariate Gaussian error
 on range ratio and bearing. One loop, ``perceive``, applies this rule to
 checked ``(id, r, theta, cell)`` tuples, where ``cell`` is the condition
-index. ``checked_cells`` makes them from ``(id, r, theta, occ)`` for
-``apply_pem`` (the object form) and ``synthesize_dataset``;
-``InjectorSession`` (serve and simulate) makes them from Cartesian objects in
-one pass and falls back to ``checked_cells`` for any frame that fails it.
+index, with the model's ``param_lists``. ``checked_cells`` makes them from
+``(id, r, theta, occ)`` for ``apply_pem`` (the object form) and
+``synthesize_dataset``; ``InjectorSession`` (serve and simulate) makes them
+from Cartesian objects in one pass that raises the same errors.
 
 Random-number consumption is fixed so that two processes running the same
 model, world sequence, and seed produce identical perceived sequences:
@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import N_OCCLUSION_LEVELS, TWO_PI, GridSpec, OcclusionLevel, PolarCoord, cell_of, polar, wrap_angle
-from .model import PARAM_NAMES, PemModel
+from .geometry import N_OCCLUSION_LEVELS, TWO_PI, GridSpec, OcclusionLevel, PolarCoord, cell_of, wrap_angle
+from .model import PemModel
 
 # Perceived range is clamped here; a Gaussian radial ratio can go non-positive.
 MIN_PERCEIVED_RANGE_M = 0.01
@@ -65,19 +65,16 @@ def session_rng(seed: int, reset_count: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, reset_count]))
 
 
-def param_lists(model: PemModel) -> tuple[list[float], ...]:
-    """The model's parameter arrays as Python lists, in PARAM_NAMES order.
-
-    Indexing a list is several times cheaper than indexing an array and
-    gives the same float. The lists are a copy: build them once per session
-    or batch, not per frame.
-    """
-    return tuple(getattr(model, name).tolist() for name in PARAM_NAMES)
-
-
 def _bins(grid: GridSpec) -> tuple[float, float, int, float, int]:
     """The grid's numbers in ``geometry.cell_of``'s order: max radius, ring depth, rings, sector width, sectors."""
     return grid.max_radius_m, grid.ring_depth_m, grid.n_rings, grid.sector_width_rad, grid.n_sectors
+
+
+def _check_unique_ids(world: list[tuple]) -> None:
+    """Raise DuplicateIdError naming the repeated id that appears first, if an entry's id (its item 0) repeats."""
+    if len({obj[0] for obj in world}) != len(world):
+        dup = next(i for i, n in Counter(obj[0] for obj in world).items() if n > 1)
+        raise DuplicateIdError(f"duplicate object id {dup}")
 
 
 def checked_cells(model: PemModel, world: list[tuple[int, float, float, int]]) -> list[tuple[int, float, float, int]]:
@@ -86,9 +83,7 @@ def checked_cells(model: PemModel, world: list[tuple[int, float, float, int]]) -
     A repeated id raises DuplicateIdError, naming the repeated id that appears
     first; then an invalid position or occlusion level raises ValueError.
     """
-    if len({obj[0] for obj in world}) != len(world):
-        dup = next(i for i, n in Counter(obj[0] for obj in world).items() if n > 1)  # the repeated id seen first
-        raise DuplicateIdError(f"duplicate object id {dup}")
+    _check_unique_ids(world)
     bins = _bins(model.grid)
     n_rings, n_sectors = bins[2], bins[4]
     cells = []
@@ -107,7 +102,6 @@ def perceive(
     world: list[tuple[int, float, float, int]],
     tracks: dict[int, int],
     rng: np.random.Generator,
-    params: tuple[list[float], ...] | None = None,
 ) -> tuple[list[tuple[int, float, float]], dict[int, int]]:
     """Process one frame of checked (id, r, theta, cell): step every object's chain and emit the detected ones.
 
@@ -116,10 +110,9 @@ def perceive(
     -1. ``tracks`` maps each id of the previous frame to its detection state;
     ids not in it start undetected, and objects outside the grid are never
     detected. Returns (id, r, theta) per detected object in world order, plus
-    the new track state, which holds exactly this frame's ids. ``params`` is
-    ``param_lists(model)``, built here when not given.
+    the new track state, which holds exactly this frame's ids.
     """
-    a01, a11, mu_r, mu_theta, sigma_r, sigma_theta, rho = param_lists(model) if params is None else params
+    a01, a11, mu_r, mu_theta, sigma_r, sigma_theta, rho = model.param_lists
     random, normal, was_detected, sqrt = rng.random, rng.standard_normal, tracks.get, math.sqrt
 
     perceived: list[tuple[int, float, float]] = []
@@ -154,13 +147,11 @@ def apply_pem(
 class InjectorSession:
     """One seeded stream of frames through a model, in ego-relative Cartesian coordinates.
 
-    A rejected frame (``t`` not increasing, or a repeated id) changes no state and uses no draws.
-    The session reads the model's parameters as they were when it was created.
+    A rejected frame changes no state and uses no draws.
     """
 
     def __init__(self, model: PemModel, seed: int):
         self.model = model
-        self.params = param_lists(model)
         self.bins = _bins(model.grid)
         self.seed = seed
         self.reset_count = -1
@@ -174,38 +165,25 @@ class InjectorSession:
         self.rng = session_rng(self.seed, self.reset_count)
 
     def frame(self, t: int, objects: list[tuple[int, float, float, int]]) -> list[tuple[int, float, float]]:
-        """Perceive one frame of (id, x, y, occ); returns (source_id, x, y) in object order."""
+        """Perceive one frame of (id, x, y, occ); returns (source_id, x, y) in object order.
+
+        One pass with ``geometry.polar``'s and ``cell_of``'s arithmetic; a level ``OcclusionLevel`` accepts
+        counts as its int. Errors, the first that applies: a ``t`` regression, a NaN x or y (the first), a
+        repeated id, a level ``OcclusionLevel`` refuses (the first). An infinite position is outside the grid.
+        """
         if self.last_t is not None and t <= self.last_t:
             raise TimeRegressionError(f"frame t {t} not greater than {self.last_t}")
-        world = self._resolve(objects)
-        if world is None:  # the checked path: every error, and which of several wins, is polar's and checked_cells'
-            world = []
-            for oid, x, y, occ in objects:
-                r, theta = polar(x, y)
-                if theta != theta:  # a NaN coordinate fails here, before the duplicate-id check
-                    PolarCoord(r, theta)
-                world.append((oid, r, theta, occ))
-            world = checked_cells(self.model, world)
-        perceived, self.tracks = perceive(self.model, world, self.tracks, self.rng, self.params)
-        self.last_t = t
-        sin, cos = math.sin, math.cos
-        return [(oid, -r * sin(theta), r * cos(theta)) for oid, r, theta in perceived]  # geometry.cartesian
-
-    def _resolve(self, objects: list[tuple[int, float, float, int]]) -> list[tuple[int, float, float, int]] | None:
-        """``checked_cells`` of the objects' polar positions, in one pass.
-
-        The arithmetic is ``geometry.polar``'s and ``geometry.cell_of``'s; an object outside the
-        grid skips the bearing. None if ids repeat, or an object has a non-finite position or a
-        level that is not a plain int in range: the checked path then raises or takes it.
-        """
-        if len({obj[0] for obj in objects}) != len(objects):
-            return None
         max_r, depth, n_rings, width, n_sectors = self.bins
         hypot, atan2, fmod, pi = math.hypot, math.atan2, math.fmod, math.pi
         world = []
+        bad_level = None
         for oid, x, y, occ in objects:
             if type(occ) is not int or not 0 <= occ < N_OCCLUSION_LEVELS:
-                return None
+                try:
+                    occ = int(OcclusionLevel(occ))
+                except ValueError as exc:
+                    bad_level = bad_level or exc
+                    occ = 0  # any int: the frame is refused after the pass
             r = hypot(x, y)
             if r < max_r:
                 theta = fmod(atan2(y, x) - _HALF_PI, TWO_PI)
@@ -220,8 +198,14 @@ class InjectorSession:
                 if sector >= n_sectors:  # a float edge at 2 pi
                     sector = n_sectors - 1
                 world.append((oid, r, theta, (occ * n_rings + ring) * n_sectors + sector))
-            elif r - r == 0.0:  # finite, so is the bearing
+            elif x == x and y == y:  # outside the grid, an infinite position too
                 world.append((oid, r, 0.0, -1))
             else:
-                return None
-        return world
+                PolarCoord(r, math.nan)  # raises: a NaN coordinate has a NaN bearing
+        _check_unique_ids(world)
+        if bad_level is not None:
+            raise bad_level
+        perceived, self.tracks = perceive(self.model, world, self.tracks, self.rng)
+        self.last_t = t
+        sin, cos = math.sin, math.cos
+        return [(oid, -r * sin(theta), r * cos(theta)) for oid, r, theta in perceived]  # geometry.cartesian

@@ -1,9 +1,13 @@
-"""The learned model artifact: per-condition detection chains and error distributions."""
+"""The learned model artifact: per-condition detection chains and error distributions.
+
+A ``PemModel`` is immutable, so what ``validate`` checks when it is made holds for its whole lifetime.
+"""
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -101,12 +105,12 @@ class ErrorDistribution:
 PARAM_NAMES = ("a01", "a11", "mu_r", "mu_theta", "sigma_r", "sigma_theta", "rho")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class PemModel:
     """Grid spec plus one (TransitionMatrix, ErrorDistribution) pair per condition.
 
-    Parameters are stored as flat float arrays indexed by condition index; the
-    model is immutable after construction and safe to share across sessions.
+    Parameters are flat read-only float arrays indexed by condition index, copies
+    of the arrays given; the model cannot change and is safe to share across sessions.
     """
 
     grid: GridSpec
@@ -121,7 +125,9 @@ class PemModel:
 
     def __post_init__(self):
         for name in PARAM_NAMES:
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         self.validate()
 
     def __eq__(self, other) -> bool:
@@ -170,6 +176,11 @@ class PemModel:
                 f"grid max_radius_m must be at most {MAX_GRID_RADIUS_M:g}, so perceived ranges stay finite: "
                 f"{self.grid.max_radius_m}"
             )
+
+    @cached_property
+    def param_lists(self) -> tuple[list[float], ...]:
+        """The parameter arrays as Python lists in PARAM_NAMES order, built once: cheaper to index, same floats."""
+        return tuple(getattr(self, name).tolist() for name in PARAM_NAMES)
 
     @property
     def n_conditions(self) -> int:

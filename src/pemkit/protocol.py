@@ -4,18 +4,19 @@ One JSON document per newline-terminated UTF-8 line. Requests are init /
 frame / reset / shutdown; replies are response / error / ack. Encoding is
 canonical (sorted keys, no whitespace) so a given reply is byte-stable.
 
-``encode`` writes any message through ``json.dumps``. The two per-frame
-lines, a frame (``frame_line``, the client's) and a response
-(``response_line``, the server's), are written directly with ``int.__repr__``
-and ``float.__repr__``, in the same canonical form: for finite coordinates
-each is byte for byte ``encode`` of the same message. ``tests/test_wire_bytes``
-pins that against an oracle for thousands of frames.
+``parse_request`` hands a frame's objects on as (id, x, y, occ) tuples, and
+``encode`` writes any message through ``json.dumps``. The two per-frame lines,
+a frame (``frame_line``) and a response (``response_line``), take finite
+coordinates (a ``PemModel`` perceives no other) and are written directly with
+``int.__repr__`` and ``float.__repr__``, byte for byte ``encode`` of the same
+message; ``tests/test_wire_bytes`` pins that against an oracle for thousands of frames.
 """
 
 from __future__ import annotations
 
 import json
 from math import isfinite
+from operator import itemgetter
 
 from .checks import is_int, is_number
 from .geometry import N_OCCLUSION_LEVELS
@@ -45,6 +46,7 @@ def encode(msg: dict) -> bytes:
 # One object of each per-frame line, keys in sorted order; %d writes an int as int.__repr__ does.
 _FRAME_OBJECT = '{"id":%d,"occ":%d,"x":%r,"y":%r}'
 _RESPONSE_OBJECT = '{"source_id":%d,"x":%r,"y":%r}'
+_OBJECT_FIELDS = itemgetter("id", "x", "y", "occ")  # a frame object as InjectorSession.frame reads it
 
 
 def frame_line(t: int, world: list[tuple[int, float, float, int]]) -> bytes:
@@ -54,13 +56,8 @@ def frame_line(t: int, world: list[tuple[int, float, float, int]]) -> bytes:
 
 
 def response_line(t: int, perceived: list[tuple[int, float, float]]) -> bytes:
-    """``encode(response_msg(t, objects))`` for perceived (source_id, x, y), written directly when every x and y is finite."""
+    """``encode(response_msg(t, objects))`` for perceived (source_id, x, y) with finite x and y, written directly."""
     objects = ",".join([_RESPONSE_OBJECT % obj for obj in perceived])
-    # repr writes a non-finite float as nan, inf or -inf where json writes NaN, Infinity or -Infinity.
-    # No other text of the objects holds an "n", so one scan finds them; only a model with
-    # overflowing parameters can perceive one.
-    if "n" in objects:
-        return encode(response_msg(t, [{"source_id": sid, "x": x, "y": y} for sid, x, y in perceived]))
     return ('{"objects":[%s],"t":%d,"type":"response"}\n' % (objects, t)).encode()
 
 
@@ -96,8 +93,8 @@ _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 def parse_request(line: bytes | str) -> dict:
     """Decode and structurally validate one request line.
 
-    Raises ProtocolError with a stable error code and message; the caller
-    turns that into an error reply without dropping the session.
+    A frame's objects come back as (id, x, y, occ). Raises ProtocolError with a stable
+    error code and message; the caller turns that into an error reply without dropping the session.
     """
     if isinstance(line, bytes):
         try:
@@ -129,12 +126,14 @@ def parse_request(line: bytes | str) -> dict:
         objects = msg.get("objects")
         if not isinstance(objects, list):
             raise ProtocolError(ERR_MALFORMED, "frame.objects must be a list")
+        world = []
+        append = world.append
         for obj in objects:
             # Exact types first: an object that is not plainly valid meets the rules below, which name its fault.
             try:
-                occ, x, y = obj["occ"], obj["x"], obj["y"]
+                oid, x, y, occ = fields = _OBJECT_FIELDS(obj)
                 if (
-                    type(obj["id"]) is int
+                    type(oid) is int
                     and type(occ) is int
                     and 0 <= occ < N_OCCLUSION_LEVELS
                     and type(x) is float
@@ -142,6 +141,7 @@ def parse_request(line: bytes | str) -> dict:
                     and isfinite(x)
                     and isfinite(y)
                 ):
+                    append(fields)
                     continue
             except (KeyError, TypeError):
                 pass
@@ -153,6 +153,8 @@ def parse_request(line: bytes | str) -> dict:
                 raise ProtocolError(ERR_MALFORMED, "frame object x and y must be numbers")
             if not is_int(obj.get("occ")) or not (0 <= obj["occ"] < N_OCCLUSION_LEVELS):
                 raise ProtocolError(ERR_MALFORMED, "frame object occ must be an integer in [0,4)")
+            append(_OBJECT_FIELDS(obj))
+        msg["objects"] = world
         return msg
     if kind in ("reset", "shutdown"):
         return msg

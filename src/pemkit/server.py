@@ -19,7 +19,6 @@ import socket
 import sys
 import threading
 import traceback
-from operator import itemgetter
 
 from . import protocol
 from .inject import DuplicateIdError, InjectorSession, TimeRegressionError
@@ -30,7 +29,6 @@ from .model import PemModel
 MAX_LINE_BYTES = 1 << 20
 # Unsent reply bytes past which a connection's requests are left unread.
 MAX_PENDING_BYTES = 1 << 20
-_OBJECT_FIELDS = itemgetter("id", "x", "y", "occ")  # a frame object as InjectorSession.frame reads it
 _OVERLONG = protocol.error_msg(protocol.ERR_MALFORMED, f"request line longer than {MAX_LINE_BYTES} bytes")
 
 
@@ -46,7 +44,7 @@ class Session:
         kind = msg["type"]
         if kind == "frame" and self.injector is not None:
             try:
-                perceived = self.injector.frame(msg["t"], list(map(_OBJECT_FIELDS, msg["objects"])))
+                perceived = self.injector.frame(msg["t"], msg["objects"])
             except TimeRegressionError as exc:
                 return protocol.encode(protocol.error_msg(protocol.ERR_TIME_REGRESSION, str(exc)))
             except DuplicateIdError as exc:

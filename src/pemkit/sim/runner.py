@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .. import protocol
-from ..checks import require, require_each, require_object
+from ..checks import is_int, is_number, require, require_each, require_object
 from ..client import PemClient, RemoteError, ServerGone, decode_reply
 from ..inject import InjectorSession
 from ..inject import apply_pem  # noqa: F401  kept resolvable: perfbench wraps runner.apply_pem
@@ -91,11 +91,15 @@ class RemoteSource:
         line = protocol.frame_line(t, world)
         try:
             reply = decode_reply(self._client.exchange_raw(line))
-            return [(obj["source_id"], obj["x"], obj["y"]) for obj in reply["objects"]]
+            perceived = [(obj["source_id"], obj["x"], obj["y"]) for obj in reply["objects"]]
+            for sid, x, y in perceived:
+                if not (is_int(sid) and is_number(x) and is_number(y)):
+                    raise ValueError(f"object needs an integer source_id and finite x and y, got {sid!r}, {x!r}, {y!r}")
+            return perceived
         except (OSError, RemoteError, ServerGone) as exc:
             self.close()
             raise PerceptionUnavailable(f"frame exchange failed: {exc}") from exc
-        except (KeyError, TypeError, ValueError) as exc:  # a reply that is not JSON or lacks a key
+        except (KeyError, TypeError, ValueError) as exc:  # a reply that is not JSON, lacks a key or holds a bad value
             self.close()
             raise PerceptionUnavailable(f"bad frame reply: {type(exc).__name__}: {exc}") from exc
 

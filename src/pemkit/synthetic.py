@@ -13,7 +13,7 @@ import numpy as np
 
 from .dataset import DatasetBuilder, PerceptionDataset
 from .geometry import N_OCCLUSION_LEVELS, PolarCoord, polar_from_xy_arrays, wrap_angle, xy_from_polar
-from .inject import checked_cells, param_lists, perceive, session_rng
+from .inject import checked_cells, perceive, session_rng
 from .model import PemModel
 
 
@@ -78,7 +78,6 @@ def synthesize_dataset(cfg: SyntheticDatasetConfig) -> PerceptionDataset:
     rng = session_rng(cfg.seed, 0)
     dt = 1.0 / cfg.frame_rate_hz
     builder = DatasetBuilder()
-    params = param_lists(cfg.true_model)
     for s in range(cfg.n_scenes):
         builder.add_scene(s)
         objects = _place_objects(cfg, rng)
@@ -94,7 +93,7 @@ def synthesize_dataset(cfg: SyntheticDatasetConfig) -> PerceptionDataset:
         for _t in range(cfg.frames_per_scene):
             r, theta = (a.tolist() for a in polar_from_xy_arrays(*positions.T.tolist()))
             world = list(zip(ids, r, theta, occ))
-            perceived, tracks = perceive(cfg.true_model, checked_cells(cfg.true_model, world), tracks, rng, params)
+            perceived, tracks = perceive(cfg.true_model, checked_cells(cfg.true_model, world), tracks, rng)
             det = [(pr, ptheta) for _, pr, ptheta in perceived]
             if len(det) > 1:
                 det = [det[i] for i in rng.permutation(len(det))]

@@ -6,6 +6,7 @@ complete. Tolerances are fixed here, not tuned at runtime.
 
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -228,17 +229,16 @@ def frontal_rate_model(p: float) -> PemModel:
     """Detection probability p (stationary) in sectors within 60 deg of the
     heading, 0 elsewhere; identity emissions."""
     grid = GridSpec()
-    model = PemModel.uniform(grid, TransitionMatrix(0.0, 0.0), IDENTITY_EMISSION, f"frontal-{p}")
+    a01 = np.zeros(grid.n_conditions)
     per_occ = grid.n_rings * grid.n_sectors
     for occ in range(4):
         for ring in range(grid.n_rings):
             for sector in range(grid.n_sectors):
                 center = (sector + 0.5) * grid.sector_width_rad
                 if abs(wrap_angle(center)) <= math.radians(60.0):
-                    idx = occ * per_occ + ring * grid.n_sectors + sector
-                    model.a01[idx] = p
-                    model.a11[idx] = p
-    return model
+                    a01[occ * per_occ + ring * grid.n_sectors + sector] = p
+    model = PemModel.uniform(grid, TransitionMatrix(0.0, 0.0), IDENTITY_EMISSION, f"frontal-{p}")
+    return replace(model, a01=a01, a11=a01)
 
 
 def test_06_safety_ordering_with_detection_rate():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -203,15 +204,19 @@ def test_session_rng_rule():
     assert not np.array_equal(a, c)
 
 
-def test_session_reads_the_model_as_it_was_when_created():
-    model = uniform_model(1.0, 1.0)
-    before = InjectorSession(model, seed=4)
-    model.a01[:] = 0.0
-    model.a11[:] = 0.0
-    after = InjectorSession(model, seed=4)
-    objects = [(0, 0.0, 20.0, int(OcclusionLevel.VIS3))]
-    assert before.frame(0, objects) == [(0, pytest.approx(0.0, abs=1e-9), pytest.approx(20.0))]
-    assert after.frame(0, objects) == []
-    # perceive without cached lists reads the arrays as they are now.
-    model.a01[:] = 1.0
-    assert perceive(model, at_20m(0), {}, session_rng(4))[1] == {0: 1}
+def test_model_cannot_change_and_leaves_its_inputs_alone():
+    a01 = np.linspace(0.2, 0.9, GRID.n_conditions)
+    given = a01.copy()
+    model = replace(uniform_model(0.7, 0.9, ErrorDistribution(1.0, 0.0, 0.1, 0.05, 0.2)), a01=a01)
+    with pytest.raises(ValueError, match="read-only"):
+        model.a01[0] = 0.0
+    with pytest.raises(AttributeError):
+        model.a11 = np.zeros(GRID.n_conditions)
+    assert a01.flags.writeable and np.array_equal(a01, given)
+    a01[:] = 0.0  # the caller's array stays its own
+    assert np.array_equal(model.a01, given)
+    objects = [[(i, 3.0 * i - 20.0, 5.0 + 2.0 * t, i % 4) for i in range(8)] for t in range(10)]
+    first, second = InjectorSession(model, seed=4), InjectorSession(model, seed=4)
+    frames = [first.frame(t, world) for t, world in enumerate(objects)]
+    assert frames == [second.frame(t, world) for t, world in enumerate(objects)]
+    assert any(frames)

@@ -230,9 +230,56 @@ def test_synthesize_matches_object_oracle(model_seed, options):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
-def test_rejected_occlusion_level_uses_no_draws():
-    session = InjectorSession(random_model(1), 0)
-    before = session.rng.bit_generator.state
-    with pytest.raises(ValueError):
-        session.frame(0, [(1, 1.0, 1.0, 3), (2, 2.0, 1.0, 4)])
-    assert session.rng.bit_generator.state == before and session.tracks == {} and session.last_t is None
+# A frame's rejections and their precedence: a t regression first; then, in object order, a NaN
+# coordinate; then a repeated id (the one seen first); then the first invalid level. A level that
+# OcclusionLevel accepts is used as its int value, and an infinite position lies outside the grid.
+# Each outcome was recorded from the session's earlier two-path frame, after WARM at t = 0.
+WARM = [(1, 1.0, 1.0, 3), (2, 2.0, 1.0, 2), (5, -3.0, 2.0, 0)]
+NAN_ERROR = ("ValueError", "theta must lie in (-pi, pi], got nan")
+REJECTIONS = {
+    "bad-level": (1, [(1, 1.0, 1.0, 3), (2, 2.0, 1.0, 4)], ("ValueError", "4 is not a valid OcclusionLevel")),
+    "nan-after-bad-level": (1, [(1, 1.0, 1.0, 4), (2, math.nan, 1.0, 3)], NAN_ERROR),
+    "nan-with-repeated-id": (1, [(1, 1.0, 1.0, 3), (1, 2.0, math.nan, 3)], NAN_ERROR),
+    "repeated-id-after-nan": (1, [(3, math.nan, 1.0, 3), (1, 2.0, 1.0, 3), (1, 2.0, 1.0, 3)], NAN_ERROR),
+    "nan-with-infinite-coordinate": (1, [(1, math.nan, math.inf, 3)], NAN_ERROR),
+    "repeated-id-with-bad-level": (1, [(1, 1.0, 1.0, 4), (1, 2.0, 1.0, 3)], ("DuplicateIdError", "duplicate object id 1")),
+    "bad-level-before-repeated-id": (
+        1, [(3, 1.0, 1.0, -1), (2, 2.0, 1.0, 3), (2, 3.0, 1.0, 3)], ("DuplicateIdError", "duplicate object id 2")
+    ),
+    "two-bad-levels": (1, [(1, 1.0, 1.0, 3.5), (2, 2.0, 1.0, "3")], ("ValueError", "3.5 is not a valid OcclusionLevel")),
+    "bad-level-outside-grid": (1, [(1, 100.0, 1.0, 7)], ("ValueError", "7 is not a valid OcclusionLevel")),
+    "t-regression-with-nan": (0, [(1, math.nan, 1.0, 3)], ("TimeRegressionError", "frame t 0 not greater than 0")),
+    "level-enum": (
+        1,
+        [(1, 1.0, 1.0, OcclusionLevel.VIS3), (2, 2.0, 1.0, 3)],
+        [(1, -0.005707435434585834, 0.00821128374616503), (2, -0.0012136869634896113, 0.009926074952097397)],
+    ),
+    "level-true": (
+        1,
+        [(1, 1.0, 1.0, True), (2, 2.0, 1.0, 3)],
+        [(1, -0.42253465546482855, -0.9573588367213103), (2, -0.0012136869634896113, 0.009926074952097397)],
+    ),
+    "level-float": (
+        1,
+        [(1, 1.0, 1.0, 3.0), (2, 2.0, 1.0, 3)],
+        [(1, -0.005707435434585834, 0.00821128374616503), (2, -0.0012136869634896113, 0.009926074952097397)],
+    ),
+    "infinite-coordinate": (
+        1,
+        [(1, math.inf, 1.0, 3), (2, 2.0, 1.0, 3), (5, -math.inf, -math.inf, 0)],
+        [(2, -0.002817912756313117, 0.009594757302704838)],
+    ),
+}
+
+
+@pytest.mark.parametrize("t, objects, expected", REJECTIONS.values(), ids=REJECTIONS.keys())
+def test_session_rejections_and_odd_levels(t, objects, expected):
+    session = InjectorSession(random_model(7), 0)
+    session.frame(0, WARM)
+    before = (dict(session.tracks), session.last_t, session.rng.bit_generator.state)
+    try:
+        got = session.frame(t, objects)
+    except ValueError as exc:  # DuplicateIdError and TimeRegressionError included
+        got = (type(exc).__name__, str(exc))
+        assert (session.tracks, session.last_t, session.rng.bit_generator.state) == before  # no state change, no draws
+    assert repr(got) == repr(expected)

@@ -335,7 +335,7 @@ def test_rejected_frames_leave_the_stream_untouched(server):
 def test_server_session_and_model_source_share_one_stream():
     model = stochastic_model()
     worlds = [[(o["id"], o["x"] + 0.3 * t, o["y"] - t, o["occ"]) for o in OBJS] for t in range(8)]
-    frame = lambda t: {"type": "frame", "t": t, "objects": [dict(zip(("id", "x", "y", "occ"), o)) for o in worlds[t]]}
+    frame = lambda t: protocol.parse_request(protocol.frame_line(t, worlds[t]))
     as_tuples = lambda reply: [(o["source_id"], o["x"], o["y"]) for o in json.loads(reply)["objects"]]
 
     session = Session({"m": model})

@@ -455,6 +455,11 @@ BAD_FRAME_REPLIES = {
     "no-objects": b'{"type":"frame"}\n',
     "objects-not-a-list": b'{"objects":5,"type":"frame"}\n',
     "no-source-id": b'{"objects":[{"x":1.0,"y":2.0}],"type":"frame"}\n',
+    "x-a-string": b'{"objects":[{"source_id":1,"x":"a","y":2.0}],"type":"frame"}\n',
+    "x-nan": b'{"objects":[{"source_id":1,"x":NaN,"y":2.0}],"type":"frame"}\n',
+    "x-infinite": b'{"objects":[{"source_id":1,"x":Infinity,"y":2.0}],"type":"frame"}\n',
+    "source-id-a-float": b'{"objects":[{"source_id":1.5,"x":1.0,"y":2.0}],"type":"frame"}\n',
+    "source-id-true": b'{"objects":[{"source_id":true,"x":1.0,"y":2.0}],"type":"frame"}\n',
 }
 
 
