@@ -1,4 +1,10 @@
-"""Safety and perception metrics computed over run logs."""
+"""Safety and perception metrics computed over run logs.
+
+``detection_runs`` is the one fold behind the perception metrics: ``run_once``
+feeds it the watched obstacle's (range, detected) per perception frame, and
+``perception_metrics`` a log's records. ``rect_distance`` and
+``min_distance`` are views of ``footprint_distance``, which the tick loop runs.
+"""
 
 from __future__ import annotations
 
@@ -109,30 +115,20 @@ def min_distance(log: "RunLog") -> float:
     return best
 
 
-def perception_metrics(log: "RunLog") -> tuple[float | None, float | None]:
-    """(relative detection frequency, max non-detection interval in seconds).
+def detection_runs(frames: list[tuple[float, bool]], period: float) -> tuple[float | None, float | None]:
+    """(relative detection frequency, max non-detection interval in seconds) of (range, detected) per frame.
 
-    Only perception ticks with the obstacle inside ELIGIBLE_RANGE_M count; an
-    ineligible tick breaks a non-detection run. With zero eligible ticks both
-    metrics are undefined and reported as None.
+    Only frames with the obstacle inside ELIGIBLE_RANGE_M count; an
+    ineligible frame breaks a non-detection run. With zero eligible frames
+    both metrics are undefined and reported as None.
     """
-    name = log.primary_obstacle
-    if name is None:
-        raise ValueError("run log has no obstacles")
-    period = 1.0 / log.perception_rate_hz
-    eligible = 0
-    detected = 0
-    gap = 0
-    max_gap = 0
-    for row in log.ticks:
-        if row.perception is None:
-            continue
-        rng = row.perception.ranges.get(name)
-        if rng is None or rng >= ELIGIBLE_RANGE_M:
+    eligible = detected = gap = max_gap = 0
+    for rng, seen in frames:
+        if rng >= ELIGIBLE_RANGE_M:
             gap = 0
             continue
         eligible += 1
-        if row.perception.detected.get(name, False):
+        if seen:
             detected += 1
             gap = 0
         else:
@@ -141,3 +137,16 @@ def perception_metrics(log: "RunLog") -> tuple[float | None, float | None]:
     if eligible == 0:
         return None, None
     return detected / eligible, max_gap * period
+
+
+def perception_metrics(log: "RunLog") -> tuple[float | None, float | None]:
+    """``detection_runs`` over the primary obstacle's perception records; a missing name is out of range."""
+    name = log.primary_obstacle
+    if name is None:
+        raise ValueError("run log has no obstacles")
+    frames = [
+        (row.perception.ranges.get(name, math.inf), row.perception.detected.get(name, False))
+        for row in log.ticks
+        if row.perception is not None
+    ]
+    return detection_runs(frames, 1.0 / log.perception_rate_hz)

@@ -10,6 +10,11 @@ visible without an interval, so a frame with one actor, or with every actor
 equally far, needs none. Otherwise every actor is either covered by a
 nearer one or may cover a farther one, and its interval is computed once
 and shared.
+
+``visibility`` is the one implementation, which the tick loop runs per
+perception frame. ``compute_occlusion`` is its entry for one target, and
+``footprint_corners`` builds the corners from ``corner_offsets`` as
+``_angular_interval`` does.
 """
 
 from __future__ import annotations
@@ -20,13 +25,11 @@ from ..geometry import OcclusionLevel, TWO_PI, occlusion_level
 from .world import ActorState
 
 def footprint_corners(actor: ActorState) -> list[tuple[float, float]]:
-    ux, uy = math.cos(actor.heading), math.sin(actor.heading)
-    hl, hw = 0.5 * actor.length, 0.5 * actor.width
-    return [
-        (actor.x + sx * hl * ux - sy * hw * uy, actor.y + sx * hl * uy + sy * hw * ux)
-        for sx in (1.0, -1.0)
-        for sy in (1.0, -1.0)
-    ]
+    """The (+,+), (+,-), (-,+), (-,-) corners, built from ``corner_offsets`` as ``_angular_interval`` builds them."""
+    x, y = actor.x, actor.y
+    a, b, c, d = corner_offsets(actor)
+    front_x, back_x, front_y, back_y = x + a, x - a, y + c, y - c
+    return [(front_x - b, front_y + d), (front_x + b, front_y - d), (back_x - b, back_y + d), (back_x + b, back_y - d)]
 
 
 def corner_offsets(actor: ActorState) -> tuple[float, float, float, float]:
@@ -106,19 +109,13 @@ def visibility(
 def compute_occlusion(
     ego: ActorState, target: ActorState, others: list[ActorState]
 ) -> tuple[float, OcclusionLevel]:
-    """Fraction of the target's angular extent not covered by nearer actors.
+    """(visible fraction, level) of the target past ``others``: ``visibility``'s entry for it.
 
     Only actors whose center is strictly nearer to the ego than the target's
-    center can occlude. Returns (fraction in [0,1], binned level).
+    center can occlude; the ego and the target themselves in ``others`` are skipped.
     """
-    d_target = math.hypot(target.x - ego.x, target.y - ego.y)
-    occluders = [
-        _angular_interval(ego.x, ego.y, other, corner_offsets(other))
-        for other in others
-        if other is not target and other is not ego and math.hypot(other.x - ego.x, other.y - ego.y) < d_target
-    ]
-    fraction = _visible_fraction(_angular_interval(ego.x, ego.y, target, corner_offsets(target)), occluders)
-    return fraction, OcclusionLevel.from_fraction(fraction)
+    _, fraction, level = visibility(ego, [target, *(o for o in others if o is not target and o is not ego)])[0]
+    return fraction, OcclusionLevel(level)
 
 
 def _visible_fraction(interval: tuple[float, float] | None, occluders: list[tuple[float, float] | None]) -> float:
@@ -152,8 +149,6 @@ def _visible_fraction(interval: tuple[float, float] | None, occluders: list[tupl
 
 
 def _union_length(segments: list[tuple[float, float]]) -> float:
-    if not segments:
-        return 0.0
     segments = sorted(segments)
     total = 0.0
     cur_lo, cur_hi = segments[0]

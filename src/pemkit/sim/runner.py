@@ -7,11 +7,13 @@ model, and a remote model server. A local ``ModelSource`` opens one
 ``InjectorSession`` per run, the object each server connection drives, so a
 run driven by either is bit-identical given the same model and seed.
 
-``run_once`` tracks the min distance and the perception metrics as the run
-goes, so a batch keeps per-tick rows only for runs whose logs are saved. It
-keeps one pose cache per actor (what depends only on its heading), finds the
-policy's nearest obstacle once per perception frame and turns it into a
-command every tick.
+``run_once`` is the tick loop. It runs ``visibility``, ``obstacle_gap`` and
+``gap_command``, ``footprint_distance`` and ``detection_runs``, of which
+``compute_occlusion``, ``driving_policy``, ``rect_distance`` and
+``perception_metrics`` are views for other callers. It computes the min
+distance and the perception metrics as the run goes, so a batch keeps
+per-tick rows only for runs whose logs are saved, and keeps one pose cache
+per actor (what depends only on its heading).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from ..client import PemClient, RemoteError, ServerGone, decode_reply
 from ..inject import InjectorSession
 from ..inject import apply_pem  # noqa: F401  kept resolvable: perfbench wraps runner.apply_pem
 from ..model import PemModel
-from .metrics import ELIGIBLE_RANGE_M, axis_half_extents, footprint_distance, perception_metrics
+from .metrics import axis_half_extents, detection_runs, footprint_distance, perception_metrics
 from .metrics import rect_distance  # noqa: F401  kept resolvable: perfbench wraps runner.rect_distance
 from .occlusion import compute_occlusion  # noqa: F401  kept resolvable: perfbench wraps runner.compute_occlusion
 from .occlusion import corner_offsets, visibility
@@ -70,11 +72,10 @@ class ModelSource:
 class RemoteSource:
     """Perception served over the wire protocol; one init per run, on a new connection after a failure."""
 
-    def __init__(self, host: str, port: int, model_name: str, rate_hz: float = 2.0, label: str | None = None):
+    def __init__(self, host: str, port: int, model_name: str, label: str | None = None):
         self.host = host
         self.port = port
         self.model_name = model_name
-        self.rate_hz = rate_hz
         self.label = label or model_name
         self._client: PemClient | None = None
 
@@ -82,7 +83,9 @@ class RemoteSource:
         try:
             if self._client is None:
                 self._client = PemClient(self.host, self.port)
-            self._client.init(self.model_name, seed, self.rate_hz)
+            reply = self._client.init(self.model_name, seed)
+            if reply != protocol.ack_msg("init"):
+                raise ValueError(f"expected an init ack, got {reply!r}")
         except (OSError, RemoteError, ServerGone, ValueError) as exc:
             self.close()
             raise PerceptionUnavailable(f"init against {self.host}:{self.port} failed: {exc}") from exc
@@ -91,6 +94,9 @@ class RemoteSource:
         line = protocol.frame_line(t, world)
         try:
             reply = decode_reply(self._client.exchange_raw(line))
+            kind, reply_t = reply.get("type"), reply.get("t")
+            if kind != "response" or not is_int(reply_t) or reply_t != t:
+                raise ValueError(f"expected the response to frame {t}, got type {kind!r} and t {reply_t!r}")
             perceived = [(obj["source_id"], obj["x"], obj["y"]) for obj in reply["objects"]]
             for sid, x, y in perceived:
                 if not (is_int(sid) and is_number(x) and is_number(y)):
@@ -221,7 +227,7 @@ def run_once(
 
     # perception_metrics reads records keyed by name, where a repeated name holds its last actor.
     watched = max((i for i, st in enumerate(states) if st.name == log.primary_obstacle), default=-1)
-    eligible = detected = gap = max_gap = 0
+    frames = []  # the watched actor's (range, detected) per perception frame, for detection_runs
     # The ego never turns and faces +y, so its footprint is axis-aligned. An actor's heading terms
     # are recomputed when a script changes its heading.
     ego_extents = axis_half_extents(ego)
@@ -254,23 +260,13 @@ def run_once(
                 log.min_distance_m = min_dist
                 return log
             frame_index += 1
-            perceived = [(sid, x, y) for sid, x, y in returned]
-            obstacle = obstacle_gap(perceived, ego, cfg)
-            seen = {sid for sid, _, _ in perceived}
-            if watched < 0 or views[watched][0] >= ELIGIBLE_RANGE_M:
-                gap = 0  # an ineligible frame breaks a non-detection run
-            else:
-                eligible += 1
-                if watched + 1 in seen:
-                    detected += 1
-                    gap = 0
-                else:
-                    gap += 1
-                    if gap > max_gap:
-                        max_gap = gap
+            obstacle = obstacle_gap(returned, ego, cfg)
+            seen = {sid for sid, _, _ in returned}
+            if watched >= 0:
+                frames.append((views[watched][0], watched + 1 in seen))
             if record_ticks:
                 record = PerceptionRecord(
-                    perceived=perceived,
+                    perceived=returned,
                     detected={st.name: (idx + 1) in seen for idx, st in enumerate(states)},
                     ranges={st.name: rng for st, (rng, _, _) in zip(states, views)},
                     visibility={st.name: fraction for st, (_, fraction, _) in zip(states, views)},
@@ -324,9 +320,7 @@ def run_once(
 
     log.end_reason = end_reason
     log.min_distance_m = min_dist
-    if eligible:
-        log.detection_freq = detected / eligible
-        log.max_gap_s = max_gap * (1.0 / spec.perception_rate_hz)
+    log.detection_freq, log.max_gap_s = detection_runs(frames, 1.0 / spec.perception_rate_hz)
     return log
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from ..checks import is_number, require, require_object
 
@@ -54,13 +54,7 @@ class PolicyConfig:
             require(getattr(self, name), name, float, at_least=0)
 
     def to_dict(self) -> dict:
-        return {
-            "comfort_accel": self.comfort_accel,
-            "max_decel": self.max_decel,
-            "corridor_half_width_m": self.corridor_half_width_m,
-            "headway_s": self.headway_s,
-            "standstill_m": self.standstill_m,
-        }
+        return asdict(self)
 
 
 class PedestrianCrossing:

@@ -27,6 +27,7 @@ from pemkit.sim import (
     CellPlan,
     GroundTruthSource,
     ModelSource,
+    PerceptionUnavailable,
     RemoteSource,
     RunLog,
     load_runlog,
@@ -436,7 +437,7 @@ class FakeHandler(socketserver.StreamRequestHandler):
 
 
 @contextlib.contextmanager
-def fake_server(init_reply=b'{"type":"ready"}\n', frame_reply=b'{"objects":[],"type":"frame"}\n'):
+def fake_server(init_reply=b'{"of":"init","type":"ack"}\n', frame_reply=b'{"objects":[],"t":0,"type":"response"}\n'):
     server = FakeServer(init_reply, frame_reply)
     thread = threading.Thread(target=server.serve_forever, args=(0.05,))
     thread.start()
@@ -448,18 +449,23 @@ def fake_server(init_reply=b'{"type":"ready"}\n', frame_reply=b'{"objects":[],"t
         thread.join(timeout=10)
 
 
+# Each reply is wrong in the one field its name gives; the fake server sends it for every frame.
 BAD_FRAME_REPLIES = {
     "not-json": b"this is not json\n",
     "not-utf8": b"\xff\n",
     "not-an-object": b"[1, 2]\n",
-    "no-objects": b'{"type":"frame"}\n',
-    "objects-not-a-list": b'{"objects":5,"type":"frame"}\n',
-    "no-source-id": b'{"objects":[{"x":1.0,"y":2.0}],"type":"frame"}\n',
-    "x-a-string": b'{"objects":[{"source_id":1,"x":"a","y":2.0}],"type":"frame"}\n',
-    "x-nan": b'{"objects":[{"source_id":1,"x":NaN,"y":2.0}],"type":"frame"}\n',
-    "x-infinite": b'{"objects":[{"source_id":1,"x":Infinity,"y":2.0}],"type":"frame"}\n',
-    "source-id-a-float": b'{"objects":[{"source_id":1.5,"x":1.0,"y":2.0}],"type":"frame"}\n',
-    "source-id-true": b'{"objects":[{"source_id":true,"x":1.0,"y":2.0}],"type":"frame"}\n',
+    "no-objects": b'{"t":0,"type":"response"}\n',
+    "objects-not-a-list": b'{"objects":5,"t":0,"type":"response"}\n',
+    "no-source-id": b'{"objects":[{"x":1.0,"y":2.0}],"t":0,"type":"response"}\n',
+    "x-a-string": b'{"objects":[{"source_id":1,"x":"a","y":2.0}],"t":0,"type":"response"}\n',
+    "x-nan": b'{"objects":[{"source_id":1,"x":NaN,"y":2.0}],"t":0,"type":"response"}\n',
+    "x-infinite": b'{"objects":[{"source_id":1,"x":Infinity,"y":2.0}],"t":0,"type":"response"}\n',
+    "source-id-a-float": b'{"objects":[{"source_id":1.5,"x":1.0,"y":2.0}],"t":0,"type":"response"}\n',
+    "source-id-true": b'{"objects":[{"source_id":true,"x":1.0,"y":2.0}],"t":0,"type":"response"}\n',
+    "type-ack": b'{"objects":[],"t":0,"type":"ack"}\n',
+    "t-stale": b'{"objects":[],"t":99,"type":"response"}\n',
+    "no-t": b'{"objects":[],"type":"response"}\n',
+    "t-a-float": b'{"objects":[],"t":0.0,"type":"response"}\n',
 }
 
 
@@ -475,22 +481,50 @@ def test_bad_frame_reply_aborts_the_run(reply):
     assert report.cells[0].n_aborted == 2
 
 
+def test_reply_t_true_is_not_frame_1():
+    with fake_server(frame_reply=b'{"objects":[],"t":true,"type":"response"}\n') as port:
+        source = RemoteSource("127.0.0.1", port, "m")
+        source.begin_run(0)
+        with pytest.raises(PerceptionUnavailable, match="^bad frame reply: "):
+            source.perceive(1, [])
+    assert source._client is None
+
+
 def test_bad_init_reply_aborts_the_run():
-    with fake_server(init_reply=b"not json\n") as port:
-        log = run_once(make_tc1(), RemoteSource("127.0.0.1", port, "m"), seed=0)
-    assert log.aborted and "init against" in log.abort_reason
+    for reply in (b"not json\n", b'{"type":"ready"}\n', b'{"of":"reset","type":"ack"}\n',
+                  b'{"of":"init","t":0,"type":"ack"}\n'):
+        with fake_server(init_reply=reply) as port:
+            source = RemoteSource("127.0.0.1", port, "m")
+            log = run_once(make_tc1(), source, seed=0)
+        assert log.aborted and "init against" in log.abort_reason, reply
+        assert source._client is None
+
+
+def test_fake_server_defaults_complete_a_run():
+    with fake_server() as port:
+        source = RemoteSource("127.0.0.1", port, "m")
+        log = run_once(make_tc1(duration_s=0.5), source, seed=0)  # one perception frame, t 0
+        source.close()
+    assert not log.aborted and log.end_reason == "duration"
 
 
 def test_simulate_exits_4_on_bad_frame_replies(tmp_path, capsys):
     from pemkit.cli import EXIT_IO, main
 
-    out = tmp_path / "sim"
-    with fake_server(frame_reply=BAD_FRAME_REPLIES["no-source-id"]) as port:
-        code = main(["simulate", "--scenario", "TC1", "--server", f"127.0.0.1:{port}:m", "--runs", "2",
-                     "--out-dir", str(out)])
-    assert code == EXIT_IO
-    assert "2 aborted runs" in capsys.readouterr().err
-    assert json.loads((out / "report.json").read_text())["cells"][0]["n_aborted"] == 2
+    cases = {
+        "no-source-id": {"frame_reply": BAD_FRAME_REPLIES["no-source-id"]},
+        "t-stale": {"frame_reply": BAD_FRAME_REPLIES["t-stale"]},
+        "type-ack": {"frame_reply": BAD_FRAME_REPLIES["type-ack"]},
+        "init-not-an-ack": {"init_reply": b'{"type":"ready"}\n'},
+    }
+    for name, replies in cases.items():
+        out = tmp_path / name
+        with fake_server(**replies) as port:
+            code = main(["simulate", "--scenario", "TC1", "--server", f"127.0.0.1:{port}:m", "--runs", "2",
+                         "--out-dir", str(out)])
+        assert code == EXIT_IO, name
+        assert "2 aborted runs" in capsys.readouterr().err, name
+        assert json.loads((out / "report.json").read_text())["cells"][0]["n_aborted"] == 2, name
 
 
 def test_scenario_from_config_document(tmp_path):
