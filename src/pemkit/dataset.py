@@ -1,4 +1,4 @@
-"""Perception datasets: paired ground-truth / detection streams and their JSONL format.
+r"""Perception datasets: paired ground-truth / detection streams and their JSONL format.
 
 On disk a dataset is JSON-lines, one frame per line:
 
@@ -16,6 +16,11 @@ is a ``DatasetFormatError`` naming its line:
   transition is counted across it.
 - The file is UTF-8; a byte that does not decode is an error of its line.
   Of several bad lines, the earliest is reported.
+
+A line ends in ``\n``, ``\r\n`` or a lone ``\r``, as in text mode.
+``load_dataset`` may parse a file in pieces: equal byte ranges, each of which
+holds the lines that start in it. The columns and the error do not depend on
+the pieces.
 
 In memory a dataset is columnar: flat NumPy arrays for the whole dataset,
 never one Python object per position.
@@ -46,13 +51,12 @@ import bisect
 import io
 import json
 import os
-import re
 import stat
 from array import array
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import partial
-from math import inf, isfinite
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -333,81 +337,42 @@ def load_dataset(path: str | Path, jobs: int = 1) -> PerceptionDataset:
     """Read a JSONL dataset into columns; scenes come out ordered by id, frames in file order.
 
     With ``jobs`` > 1 and a regular file of at least ``MIN_SHARDED_BYTES``,
-    the file is cut after line ends into one byte range per worker, which
-    each forked worker (``parallel.fork_map``) reads and parses; otherwise,
-    as for a pipe, the file is one piece, read to its end in-process. The
-    columns, or the earliest bad line's error, are the same.
+    the file is cut into ``jobs`` equal byte ranges, and each forked worker
+    (``parallel.fork_map``) reads and parses the lines that start in its
+    range; this process reads nothing. Otherwise, as for a pipe, the file is
+    one piece, read to its end in-process. The columns, or the earliest bad
+    line's error, are the same.
     """
     require(jobs, "jobs", int, at_least=1)
     info = os.stat(path)
     ranges = [(0, None)]
     if jobs > 1 and stat.S_ISREG(info.st_mode) and info.st_size >= MIN_SHARDED_BYTES:
-        with open(path, "rb") as fh:
-            ranges = _byte_ranges(fh, info.st_size, jobs)
+        cuts = [k * info.st_size // jobs for k in range(jobs)]
+        ranges = list(zip(cuts, cuts[1:] + [None]))
     return _join_rows(fork_map(partial(_parse_rows, path), ranges, jobs))
 
 
-# Most bytes one read takes. A line longer than this, or a run of lines that
-# end in a lone \r (which readline does not stop at), is read in such pieces.
-READ_BYTES = 1 << 16
+def _lines(path: str | Path, start: int, stop: int | None) -> Iterator[str]:
+    r"""The lines whose first byte is in [``start``, ``stop``) (``stop`` None: EOF), ``\r\n`` and ``\r`` read as ``\n``.
 
-
-def _byte_ranges(fh: io.BufferedIOBase, size: int, parts: int) -> list[tuple[int, int | None]]:
-    r"""(start, stop) of up to ``parts`` ranges of a ``size``-byte file, the last to EOF (None), cut after line ends.
-
-    A line end is ``\n``, ``\r\n`` or a lone ``\r``, as in text mode; no cut falls between ``\r`` and ``\n``.
+    A line starts at byte 0 or after a ``\n``, ``\r\n`` or lone ``\r``, as in
+    text mode, so the pieces of adjoining ranges hold every line once. A byte
+    that is not UTF-8 is read as a lone surrogate (``surrogateescape``). A
+    range that starts at 0 is read without a seek, so a pipe can be read.
     """
-    cuts = [0]
-    for k in range(1, parts):
-        end = _line_end(fh, max(k * size // parts, cuts[-1]))
-        if end is None or end >= size:
-            break
-        cuts.append(end)
-    return list(zip(cuts, cuts[1:] + [None]))
-
-
-def _line_end(fh: io.BufferedIOBase, pos: int) -> int | None:
-    r"""The offset just after the first line end at or after byte ``pos``, None if none; read ``READ_BYTES`` at a time."""
-    fh.seek(pos)
-    while chunk := fh.readline(READ_BYTES):
-        end = re.search(rb"\r\n?|\n", chunk)
-        if end is not None:
-            # A \r that ends a piece may be the first half of a \r\n.
-            split = end.group() == b"\r" and end.end() == len(chunk) and fh.read(1) == b"\n"
-            return pos + end.end() + split
-        pos += len(chunk)
-    return None
-
-
-def _lines(path: str | Path, start: int, stop: int | None) -> Iterator[bytes]:
-    r"""The lines from byte ``start`` to ``stop`` (None: EOF), ``\r\n`` and ``\r`` read as ``\n`` as in text mode.
-
-    A range that starts at 0 is read without a seek, so a pipe can be read.
-    Each read takes at most ``READ_BYTES``, so lines that end in a lone
-    ``\r`` are read a piece at a time, not as one whole range.
-    """
-    text_mode = lambda raw: raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n").splitlines(keepends=True)
-    head: list[bytes] = []  # a line read in part: its end, or the \n after its \r, is still to come
-    left = inf if stop is None else stop - start
+    size = lambda line: len(line) if line.isascii() else len(line.encode("utf-8", "surrogateescape"))
     with open(path, "rb") as fh:
+        pos = max(start - 1, 0)
         if start:
-            fh.seek(start)
-        while chunk := fh.readline(min(READ_BYTES, left)):
-            left -= len(chunk)
-            # A piece that readline did not end at a \n holds none; it ends lines at each \r
-            # but a last one, which may be the first half of a \r\n.
-            cut = len(chunk) if chunk[-1] == 10 else chunk.rfind(b"\r", 0, -1) + 1
-            if not cut:
-                head.append(chunk)
-                continue
-            if head:
-                yield from text_mode(b"".join(head) + chunk[:cut])
-                head.clear()
-            else:
-                yield from text_mode(chunk[:cut])
-            if cut < len(chunk):
-                head.append(chunk[cut:])
-    yield from text_mode(b"".join(head))
+            fh.seek(pos)
+        lines = io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape", newline="")
+        if start:  # the line that holds byte start - 1 starts in an earlier range
+            pos += size(next(lines, ""))
+        for line in lines:
+            if stop is not None and pos >= stop:
+                break
+            pos += size(line)
+            yield line.rstrip("\r\n") + "\n" if line.endswith(("\r", "\r\n")) else line
 
 
 def _parse_rows(
@@ -415,19 +380,20 @@ def _parse_rows(
 ) -> tuple[dict[str, np.ndarray], tuple[int, str] | None, int]:
     """Columns of one byte range's rows up to its first bad row, that row's (line, message), and its line count.
 
-    Line numbers count from 1 at the start of the range.
+    Line numbers count from 1 at the range's first line.
     """
     line_of_row, scene_of_row, t_of_row, gt_counts, det_counts, gt_id, gt_occ = (array("q") for _ in range(7))
     gt_x, gt_y, det_x, det_y = (array("d") for _ in range(4))
     error = None
     lineno = 0
     lines = enumerate(_lines(path, *span), start=1)
-    for lineno, raw in lines:
-        try:
-            line = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            error = (lineno, f"not valid UTF-8: {exc.reason}")
-            break
+    for lineno, line in lines:
+        if not line.isascii():
+            try:  # a surrogate stands for a byte that is not UTF-8; the line's own bytes give the reason
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                error = (lineno, f"not valid UTF-8: {exc.reason}")
+                break
         if line.isspace():
             continue
         try:

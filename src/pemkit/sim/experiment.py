@@ -78,6 +78,10 @@ class CellReport:
         distances, freqs, gaps = (doc[key] for key in _CELL_RUNS)
         if not len(distances) == len(freqs) == len(gaps):
             raise ValueError(f"{path}: {', '.join(_CELL_RUNS)} differ in length")
+        n_runs = require(doc["n_runs"], f"{path}.n_runs", int, at_least=1)
+        counted = n_runs - require(doc["n_aborted"], f"{path}.n_aborted", int, at_least=0, at_most=n_runs)
+        if len(distances) != counted:
+            raise ValueError(f"{path}: {len(distances)} runs in min_distances_m, but n_runs - n_aborted is {counted}")
         # A run without a primary obstacle has no detection frequency or gap: null.
         runs = {f"{path}.{key}": [v for v in doc[key] if v is not None or key == _CELL_RUNS[0]] for key in _CELL_RUNS}
         require_each(runs, float)

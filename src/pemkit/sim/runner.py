@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .. import protocol
-from ..checks import is_int, is_number, require, require_each, require_object
+from ..checks import is_int, is_number, require, require_object
 from ..client import PemClient, RemoteError, ServerGone, decode_reply
 from ..inject import InjectorSession
 from ..inject import apply_pem  # noqa: F401  kept resolvable: perfbench wraps runner.apply_pem
@@ -383,6 +383,7 @@ _RUNLOG_KEYS = {
                 "abort_reason": str},
 }
 _PERCEPTION_KEYS = {"objs": list, "det": dict, "rng": dict, "vis": dict}
+_OBSTACLE_KEYS = {"name": str, "kind": str, "length": float, "width": float}
 
 
 def _entry(value, path: str, kinds: tuple[type, ...]) -> tuple:
@@ -396,17 +397,19 @@ def _entry(value, path: str, kinds: tuple[type, ...]) -> tuple:
 def load_runlog(path: str | Path) -> RunLog:
     """Read a ``save_runlog`` file; a malformed line raises a ``ValueError`` that names ``path:line``."""
     log: RunLog | None = None
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
         try:
-            doc = require_object(json.loads(line), "", {"type": str})
+            doc = require_object(json.loads(line.decode("utf-8")), "", {"type": str})
             kind = doc["type"]
             if kind not in _RUNLOG_KEYS:
                 raise ValueError(f"type must be one of {', '.join(_RUNLOG_KEYS)}, got {kind!r}")
             require_object(doc, "", _RUNLOG_KEYS[kind])
             if kind == "meta":
+                for i, obstacle in enumerate(doc["obstacles"]):
+                    require_object(obstacle, f"obstacles[{i}]", _OBSTACLE_KEYS)
                 log = RunLog(
                     doc["scenario"], doc["seed"], doc["source"], doc["tick_rate_hz"], doc["perception_rate_hz"],
-                    tuple(doc["ego_dims"]), doc["obstacles"], doc["policy"],
+                    _entry(doc["ego_dims"], "ego_dims", (float, float)), doc["obstacles"], doc["policy"],
                 )
             elif log is None:
                 raise ValueError(f"{kind} line before the meta line")
@@ -419,8 +422,7 @@ def load_runlog(path: str | Path) -> RunLog:
                         for key, value in found[name].items():
                             require(value, f"perc.{name}.{key}", kind)
                     perc = PerceptionRecord(objs, dict(found["det"]), dict(found["rng"]), dict(found["vis"]))
-                ego_x, ego_y, ego_speed, ego_accel = doc["ego"]
-                require_each({"ego": doc["ego"]}, float)
+                ego_x, ego_y, ego_speed, ego_accel = _entry(doc["ego"], "ego", (float,) * 4)
                 actors = [_entry(actor, f"actors[{i}]", (float,) * 4) for i, actor in enumerate(doc["actors"])]
                 log.ticks.append(TickRow(doc["t"], ego_x, ego_y, ego_speed, ego_accel, actors, perc))
             else:

@@ -737,9 +737,19 @@ def simulated_report(tmp_path) -> dict:
          "cells[0].source must be a plain file name, got '../escape'"),
         (lambda d: d["cells"][0].update(scenario=".."), "cells[0].scenario must be a plain file name, got '..'"),
         (lambda d: d["cells"][0].update(source="a\\b"), "cells[0].source must be a plain file name, got 'a\\\\b'"),
+        (lambda d: d["cells"][0].update(n_runs=2, n_aborted=0, min_distances_m=[0.5] * 4, detection_freqs=[1.0] * 4,
+                                        max_non_detection_s=[0.0] * 4),
+         "cells[0]: 4 runs in min_distances_m, but n_runs - n_aborted is 2"),
+        (lambda d: d["cells"][0].update(n_runs=1, n_aborted=3, min_distances_m=[], detection_freqs=[],
+                                        max_non_detection_s=[]),
+         "cells[0].n_aborted must be an integer in [0, 1], got 3"),
+        (lambda d: d["cells"][0].update(n_runs=0, n_aborted=0, min_distances_m=[], detection_freqs=[],
+                                        max_non_detection_s=[]),
+         "cells[0].n_runs must be an integer >= 1, got 0"),
     ],
     ids=["empty", "cells-object", "cell-number", "missing-source", "string-runs", "number-baseline",
-         "uneven-runs", "null-distance", "string-grid", "escaping-source", "dot-dot-scenario", "backslash-source"],
+         "uneven-runs", "null-distance", "string-grid", "escaping-source", "dot-dot-scenario", "backslash-source",
+         "more-distances-than-runs", "more-aborted-than-runs", "no-runs"],
 )
 def test_report_rejects_bad_report_file_before_any_output(tmp_path, capsys, edit, message):
     doc = simulated_report(tmp_path)

@@ -1,6 +1,8 @@
+import io
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,28 +208,20 @@ def lf_rows(tmp_path):
     return path.read_text().splitlines(), path
 
 
-class RecordingFile:
-    """A binary file that records the size of every piece ``readline`` returns."""
+class RecordingFile(io.BufferedReader):
+    """A binary file that records the size of every chunk the text reader takes (``read1``)."""
 
-    def __init__(self, path, mode, reads):
-        self.fh, self.reads = open(path, mode), reads
+    def __init__(self, path, reads):
+        super().__init__(io.FileIO(path))
+        self.reads = reads.setdefault(Path(path).name, [])
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.fh.close()
-
-    def seek(self, pos):
-        return self.fh.seek(pos)
-
-    def read(self, size):
-        return self.fh.read(size)
-
-    def readline(self, size=-1):
-        chunk = self.fh.readline(size)
+    def read1(self, size=-1):
+        chunk = super().read1(size)
         self.reads.append(len(chunk))
         return chunk
+
+
+TEXT_READ_BYTES = io.TextIOWrapper(io.BytesIO())._CHUNK_SIZE  # the bytes the text reader asks for at a time: 8192
 
 
 @pytest.mark.parametrize("bad_line", [None, 17])
@@ -238,9 +232,8 @@ def test_a_lone_cr_file_loads_like_its_lf_twin_and_is_read_in_pieces(tmp_path, m
         lf.write_text("\n".join(rows) + "\n")
     cr = tmp_path / "cr.jsonl"
     cr.write_bytes(("\r".join(rows) + "\r").encode())
-    monkeypatch.setattr(dataset, "READ_BYTES", 1000)
-    reads = []
-    monkeypatch.setattr(dataset, "open", lambda path, mode: RecordingFile(path, mode, reads), raising=False)
+    reads = {}
+    monkeypatch.setattr(dataset, "open", lambda path, mode: RecordingFile(path, reads), raising=False)
     if bad_line:
         with pytest.raises(DatasetFormatError) as lf_error:
             load_dataset(lf)
@@ -251,8 +244,9 @@ def test_a_lone_cr_file_loads_like_its_lf_twin_and_is_read_in_pieces(tmp_path, m
         expected, got = load_dataset(lf), load_dataset(cr)
         for name in PerceptionDataset.__slots__:
             assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
-    assert max(reads) <= 1000 < cr.stat().st_size  # never the whole file as one piece
-    assert len(reads) > 2 * cr.stat().st_size // 1000
+    size = cr.stat().st_size
+    assert max(reads[cr.name]) <= TEXT_READ_BYTES < size  # never the whole file as one piece
+    assert len(reads[cr.name]) > size // TEXT_READ_BYTES
 
 
 @pytest.fixture(scope="module")
@@ -260,23 +254,57 @@ def scratch(tmp_path_factory):
     return tmp_path_factory.mktemp("lines") / "lines.txt"
 
 
+def text_mode_lines(path):
+    with open(path, encoding="utf-8", errors="surrogateescape", newline=None) as fh:
+        return fh.readlines()
+
+
+def piece_lines(path, cuts):
+    """The lines of the pieces that ``cuts`` (byte offsets >= 0, any order, past EOF too) make, joined in file order."""
+    starts = sorted({0, *cuts})
+    return [line for start, stop in zip(starts, starts[1:] + [None]) for line in dataset._lines(path, start, stop)]
+
+
 @settings(max_examples=300, deadline=None)
-@given(data=st.text(alphabet="ab \r\n", max_size=60), read_bytes=st.integers(1, 9), parts=st.integers(1, 4))
-def test_lines_read_in_pieces_are_the_text_mode_lines(scratch, data, read_bytes, parts):
+@given(data=st.text(alphabet="ab \r\n\xe9", max_size=60), cuts=st.lists(st.integers(0, 120), max_size=6))
+def test_lines_read_in_pieces_are_the_text_mode_lines(scratch, data, cuts):
     scratch.write_bytes(data.encode())
-    with open(scratch, encoding="utf-8", newline=None) as fh:
-        expected = fh.readlines()
-    whole = dataset.READ_BYTES
-    with open(scratch, "rb") as fh:
-        cuts = dataset._byte_ranges(fh, len(data), parts)
-    try:
-        dataset.READ_BYTES = read_bytes
-        with open(scratch, "rb") as fh:
-            assert dataset._byte_ranges(fh, len(data), parts) == cuts
-        got = [line.decode() for start, stop in cuts for line in dataset._lines(scratch, start, stop)]
-    finally:
-        dataset.READ_BYTES = whole
-    assert got == expected
+    assert piece_lines(scratch, cuts) == text_mode_lines(scratch)
+
+
+UNITS = (b"a", b" ", "\xe9".encode(), "\u20ac".encode(), "\U0001d11e".encode(), b"\xff", b"\xe2\x82", b"\xed\xa0\x80")
+ENDS = (b"\n", b"\r\n", b"\r")
+
+
+@st.composite
+def long_lines(draw):
+    """8-45 KB of lines, with the ends of lines at offsets near every multiple of ``TEXT_READ_BYTES``.
+
+    The line ending near offset B starts at B - 2 .. B + 1, so a ``\r\n`` may straddle the read that ends at B.
+    Lines are filled with one unit each, multibyte characters and invalid bytes among them. Returns the
+    data and the offsets around those line ends: the line's last byte, its ``\r``, ``\n`` and the next line start.
+    """
+    data, near_ends = b"", []
+    for boundary in range(TEXT_READ_BYTES, draw(st.integers(1, 4)) * TEXT_READ_BYTES + 1, TEXT_READ_BYTES):
+        for _ in range(draw(st.integers(0, 3))):
+            data += draw(st.sampled_from(UNITS)) * draw(st.integers(0, 20)) + draw(st.sampled_from(ENDS))
+        unit, fill = draw(st.sampled_from(UNITS)), boundary + draw(st.integers(-2, 1)) - len(data)
+        data += unit * (fill // len(unit)) + b"a" * (fill % len(unit))
+        near_ends += range(len(data) - 1, len(data) + 4)
+        data += draw(st.sampled_from(ENDS))
+    last = draw(st.sampled_from(UNITS)) * draw(st.integers(1, 3000)) + draw(st.sampled_from((b"", *ENDS)))
+    return data + last, near_ends
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=long_lines(), parts=st.integers(1, 7), shifts=st.lists(st.integers(-1, 1), min_size=6, max_size=6),
+       picks=st.lists(st.integers(0, 10**6), max_size=3))
+def test_pieces_of_kilobytes_join_to_the_text_mode_lines(scratch, lines, parts, shifts, picks):
+    data, near_ends = lines
+    scratch.write_bytes(data)
+    cuts = [k * len(data) // parts + shift for k, shift in zip(range(1, parts), shifts)]  # equal cuts, moved ±1
+    cuts += [near_ends[pick % len(near_ends)] for pick in picks]  # on line starts, between \r and \n
+    assert piece_lines(scratch, cuts) == text_mode_lines(scratch)
 
 
 # --- finite positions -------------------------------------------------------------

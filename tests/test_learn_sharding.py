@@ -6,10 +6,12 @@ output byte and error message; ``test_dataset_equivalence`` checks it against
 the previous line-by-line reader.
 """
 
-import io
+import bisect
+import itertools
 import json
 import multiprocessing
 import os
+import re
 import shutil
 import sys
 import threading
@@ -99,13 +101,13 @@ def write(path, lines, newline="\n", end="\n"):
 
 
 def pieces_of(path, jobs):
-    """Each piece's first line number and the scenes whose rows it holds."""
-    data, pieces = path.read_bytes(), []
-    text_mode = lambda raw: raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    for a, b in dataset._byte_ranges(io.BytesIO(data), len(data), jobs):
-        scenes = {json.loads(line)["scene"] for line in text_mode(data[a:b]).split(b"\n") if line.strip()}
-        pieces.append((text_mode(data[:a]).count(b"\n") + 1, scenes))
-    return pieces
+    """Each piece's first line number and the scenes whose rows it holds: the lines that start in its byte range."""
+    data = path.read_bytes()
+    lines = re.findall(rb"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+\Z", data)  # text mode's lines
+    starts = list(itertools.accumulate(map(len, lines[:-1]), initial=0))
+    firsts = [bisect.bisect_left(starts, k * len(data) // jobs) for k in range(jobs)] + [len(lines)]
+    return [(a + 1, {json.loads(line)["scene"] for line in lines[a:b] if line.strip()})
+            for a, b in zip(firsts, firsts[1:])]
 
 
 def assert_same_columns(a, b):
@@ -147,7 +149,7 @@ def test_sharded_load_raises_the_error_of_the_earliest_bad_line(tmp_path):
     rows = two_scene_rows()
     path = write(tmp_path / "d.jsonl", rows)
     text = path.read_text()
-    second = text.count("\n", 0, len(text) // 2) + 2  # two pieces: cut after the line holding the middle
+    second = text.count("\n", 0, len(text) // 2 - 1) + 2  # two pieces: the first line to start at the middle or after
     assert pieces_of(path, 2)[1][0] == second and 4 < second < len(rows) - 2
     # The row after the second piece's first row is the first of its scene there.
     scene, t = json.loads(rows[second])["scene"], json.loads(rows[second])["t"]

@@ -272,14 +272,30 @@ def _tick(ego=(0.0, 0.0, 10.0, 1.5), actors=((4.0, 440.0, 3.14, 0.0),), objs=(),
     return json.dumps({"type": "tick", "t": 0.0, "ego": ego, "actors": actors, "perc": perc})
 
 
+def _meta(**changes):
+    """An edit of the run log's meta line that sets ``changes``."""
+    return lambda line: json.dumps({**json.loads(line), **changes})
+
+
 RUNLOG_DAMAGE = {
     "meta-without-keys": (0, '{"type":"meta"}', "missing field: scenario"),
-    "meta-seed-not-int": (0, None, "seed must be an integer, got 'x'"),
+    "meta-seed-not-int": (0, _meta(seed="x"), "seed must be an integer, got 'x'"),
+    "ego-dims-strings": (0, _meta(ego_dims=["a", "b"]), "ego_dims[0] must be a finite number, got 'a'"),
+    "ego-dims-three": (0, _meta(ego_dims=[4.5, 1.8, 1.0]), "ego_dims must hold 2 values, got [4.5, 1.8, 1.0]"),
+    "obstacle-number": (0, _meta(obstacles=[1]), "obstacles[0] must be an object, got 1"),
+    "obstacle-without-kind": (0, _meta(obstacles=[{"name": "p", "length": 0.5, "width": 0.5}]),
+                              "missing field: obstacles[0].kind"),
+    "obstacle-length-string": (0, _meta(obstacles=[{"name": "p", "kind": "pedestrian", "length": "x", "width": 0.5}]),
+                               "obstacles[0].length must be a finite number, got 'x'"),
+    "not-utf-8": (1, '{"type":"tick","t":0.1,"ego":[1,2,3,4],"actors":[],"note":"\udcff"}',
+                  "'utf-8' codec can't decode byte 0xff in position 59: invalid start byte"),
     "row-without-type": (1, '{"t":0.1}', "missing field: type"),
     "json-list": (1, "[1, 2]", "document must be an object, got [1, 2]"),
     "not-json": (2, "{", "Expecting property name"),
     "unknown-type": (2, '{"type":"tock"}', "type must be one of meta, tick, outcome, got 'tock'"),
-    "short-ego": (1, '{"type":"tick","t":0.1,"ego":[1,2],"actors":[]}', "not enough values to unpack"),
+    "short-ego": (1, '{"type":"tick","t":0.1,"ego":[1,2],"actors":[]}', "ego must hold 4 values, got [1, 2]"),
+    "ego-three-numbers": (1, '{"type":"tick","t":0.1,"ego":[1,2,3],"actors":[]}',
+                          "ego must hold 4 values, got [1, 2, 3]"),
     "perc-without-objs": (1, '{"type":"tick","t":0.1,"ego":[1,2,3,4],"actors":[],"perc":{}}',
                           "missing field: perc.objs"),
     "perc-id-float": (1, _tick(objs=[[3.7, 1.0, 2.0]]), "perc.objs[0][0] must be an integer, got 3.7"),
@@ -289,7 +305,7 @@ RUNLOG_DAMAGE = {
     "perc-det-number": (1, _tick(det={"pedestrian": 1}), "perc.det.pedestrian must be true or false, got 1"),
     "perc-rng-string": (1, _tick(rng={"pedestrian": "x"}), "perc.rng.pedestrian must be a finite number, got 'x'"),
     "perc-vis-bool": (1, _tick(vis={"pedestrian": True}), "perc.vis.pedestrian must be a finite number, got True"),
-    "ego-string": (1, _tick(ego=["a", 0.0, 10.0, 1.5]), "ego must be a finite number, got 'a'"),
+    "ego-string": (1, _tick(ego=["a", 0.0, 10.0, 1.5]), "ego[0] must be a finite number, got 'a'"),
     "actor-string": (1, _tick(actors=["abcd"]), "actors[0] must be a list, got 'abcd'"),
     "actor-string-value": (1, _tick(actors=[[4.0, "y", 0.0, 0.0]]), "actors[0][1] must be a finite number, got 'y'"),
     "outcome-without-aborted": (-1, '{"type":"outcome","collision":false,"min_distance_m":1.0,"end_reason":"x",'
@@ -302,8 +318,8 @@ def test_malformed_runlog_line_names_file_and_line(tmp_path, index, line, messag
     path = tmp_path / "run.jsonl"
     save_runlog(run_once(make_tc1(), ModelSource(stochastic_model()), seed=3), path)
     lines = path.read_text().splitlines()
-    lines[index] = line if line is not None else lines[index].replace('"seed":3', '"seed":"x"')
-    path.write_text("\n".join(lines) + "\n")
+    lines[index] = line(lines[index]) if callable(line) else line
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))  # a surrogate writes a bad byte
     with pytest.raises(ValueError) as error:
         load_runlog(path)
     assert str(error.value).startswith(f"{path}:{index % len(lines) + 1}: {message}")
